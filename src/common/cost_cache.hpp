@@ -20,11 +20,20 @@
 // Both policies depend only on the insertion sequence, so counter values are
 // deterministic and policy-invariant (each sxs::Cpu owns its caches and is
 // charged by exactly one rank at a time).
+//
+// Allocation: constructing a cache allocates nothing; the first get() does.
+// A fresh table is an allocation of slots whose keys and values stay
+// uninitialised until inserted, plus a separate occupancy array, the only
+// part that is zeroed. An evaluator that never prices an op of some kind
+// pays nothing for that kind's cache.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -37,9 +46,12 @@ inline void hash_combine(std::size_t& seed, std::size_t v) {
 
 template <class Key, class Hash, class Eq = std::equal_to<Key>>
 class CostCache {
+  static_assert(std::is_trivially_copyable_v<Key>,
+                "slots hold keys in uninitialised storage");
+
 public:
   explicit CostCache(std::size_t initial_slots = 256)
-      : slots_(initial_slots) {
+      : initial_slots_(initial_slots) {
     NCAR_REQUIRE(initial_slots >= kProbeWindow &&
                      (initial_slots & (initial_slots - 1)) == 0,
                  "slot count must be a power of two");
@@ -48,44 +60,41 @@ public:
   /// The cached cost of `key`, computing it with `compute()` on first sight.
   template <class Fn>
   double get(const Key& key, Fn&& compute) {
-    const std::size_t mask = slots_.size() - 1;
+    if (capacity_ == 0) allocate(initial_slots_);
+    const std::size_t mask = capacity_ - 1;
     std::size_t pos = Hash{}(key)&mask;
     for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
-      Slot& s = slots_[(pos + probe) & mask];
-      if (!s.used) {
+      const std::size_t i = (pos + probe) & mask;
+      if (!used_[i]) {
         ++misses_;
-        s.key = key;
-        // Return the local copy, not s.value: grow() reallocates the slot
-        // vector, which would leave `s` dangling.
+        // Return the local copy: grow() may reallocate the slots.
         const double value = compute();
-        s.value = value;
-        s.used = true;
-        if (++occupied_ * 2 > slots_.size()) grow();
+        put(i, key, value);
+        if (++occupied_ * 2 > capacity_) grow();
         return value;
       }
-      if (Eq{}(s.key, key)) {
+      if (Eq{}(slots_[i].key, key)) {
         ++hits_;
-        return s.value;
+        return slots_[i].value;
       }
     }
     // Probe window exhausted (only reachable at kMaxSlots): overwrite the
     // window's rotating victim. Deterministic in the insertion sequence.
     ++misses_;
-    Slot& victim = slots_[(pos + evict_rotor_++ % kProbeWindow) & mask];
-    victim.key = key;
-    victim.value = compute();
-    victim.used = true;
-    return victim.value;
+    const double value = compute();
+    put((pos + evict_rotor_++ % kProbeWindow) & mask, key, value);
+    return value;
   }
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::size_t size() const { return occupied_; }
-  std::size_t capacity() const { return slots_.size(); }
+  /// Slots allocated: 0 until the first get().
+  std::size_t capacity() const { return capacity_; }
 
-  /// Drop every entry and zero the counters.
+  /// Drop every entry and zero the counters; the capacity is kept.
   void clear() {
-    slots_.assign(slots_.size(), Slot{});
+    std::fill_n(used_.get(), capacity_, false);
     occupied_ = 0;
     hits_ = misses_ = 0;
     evict_rotor_ = 0;
@@ -93,28 +102,49 @@ public:
 
 private:
   struct Slot {
-    Key key{};
-    double value = 0.0;
-    bool used = false;
+    Slot() {}  // key and value stay uninitialised until put()
+    union {
+      Key key;
+    };
+    double value;
   };
 
   static constexpr std::size_t kProbeWindow = 16;
   static constexpr std::size_t kMaxSlots = 1u << 16;
 
-  void grow() {
-    if (slots_.size() >= kMaxSlots) return;
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size() * 2, Slot{});
-    const std::size_t mask = slots_.size() - 1;
-    for (Slot& s : old) {
-      if (!s.used) continue;
-      std::size_t pos = Hash{}(s.key) & mask;
-      while (slots_[pos].used) pos = (pos + 1) & mask;
-      slots_[pos] = std::move(s);
+  // allocate() and grow() stay out of line so that get()'s hit path is small
+  // enough to inline into its callers: pricing is mostly hits.
+  [[gnu::noinline]] void allocate(std::size_t slots) {
+    slots_ = std::make_unique_for_overwrite<Slot[]>(slots);
+    used_ = std::make_unique<bool[]>(slots);
+    capacity_ = slots;
+  }
+
+  void put(std::size_t i, const Key& key, double value) {
+    std::construct_at(&slots_[i].key, key);
+    slots_[i].value = value;
+    used_[i] = true;
+  }
+
+  [[gnu::noinline]] void grow() {
+    if (capacity_ >= kMaxSlots) return;
+    std::unique_ptr<Slot[]> old_slots = std::move(slots_);
+    std::unique_ptr<bool[]> old_used = std::move(used_);
+    const std::size_t old_capacity = capacity_;
+    allocate(old_capacity * 2);
+    const std::size_t mask = capacity_ - 1;
+    for (std::size_t j = 0; j < old_capacity; ++j) {
+      if (!old_used[j]) continue;
+      std::size_t pos = Hash{}(old_slots[j].key) & mask;
+      while (used_[pos]) pos = (pos + 1) & mask;
+      put(pos, old_slots[j].key, old_slots[j].value);
     }
   }
 
-  std::vector<Slot> slots_;
+  std::size_t initial_slots_;
+  std::size_t capacity_ = 0;
+  std::unique_ptr<Slot[]> slots_;
+  std::unique_ptr<bool[]> used_;  ///< occupancy, zeroed per fresh table
   std::size_t occupied_ = 0;
   std::size_t evict_rotor_ = 0;
   std::uint64_t hits_ = 0;

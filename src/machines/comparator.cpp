@@ -7,9 +7,20 @@
 
 namespace ncar::machines {
 
-Comparator::Comparator(Spec spec) : spec_(std::move(spec)), cpu_(spec_.cfg) {
-  spec_.cfg.validate();
+namespace {
+
+/// `spec`, once its configuration validates: Comparator's member chain runs
+/// this before cpu_ exists, so a bad config fails as config_error and never
+/// reaches the timing model.
+Spec validated(Spec spec) {
+  spec.cfg.validate();
+  return spec;
 }
+
+}  // namespace
+
+Comparator::Comparator(Spec spec)
+    : spec_(validated(std::move(spec))), cpu_(spec_.cfg) {}
 
 void Comparator::vec(const sxs::VectorOp& op, long repeats) {
   if (sink_ != nullptr) sink_->on_vec(op, repeats);

@@ -8,18 +8,8 @@
 
 namespace ncar::sxs {
 
-MemoryModel::MemoryModel(const MachineConfig& cfg) : cfg_(cfg) {
-  // Strength reduction for the hot stride_conflict_factor() path: one
-  // analytic evaluation per stride class at construction, a table load per
-  // priced stream thereafter.
-  const long banks = cfg_.memory_banks;
-  stride_factor_.reserve(static_cast<std::size_t>(banks) + 1);
-  for (long s = 0; s <= banks; ++s) {
-    stride_factor_.push_back(analytic_conflict_factor(s));
-  }
-}
-
-double MemoryModel::analytic_conflict_factor(long stride) const {
+double MemoryModel::stride_conflict_factor(long stride) const {
+  stride = std::labs(stride);
   if (stride <= 2) return 1.0;  // conflict-free by design (section 2.2)
   // A stride-s stream touches banks s apart; with B banks only
   // B / gcd(s, B) distinct banks are visited. Each bank can accept a new
@@ -31,14 +21,6 @@ double MemoryModel::analytic_conflict_factor(long stride) const {
   const double demand = port_words_per_clock().value() * cfg_.bank_cycle_clocks;
   const double capacity = static_cast<double>(visited);
   return std::max(cfg_.strided_port_divisor, demand / capacity);
-}
-
-double MemoryModel::stride_conflict_factor(long stride) const {
-  stride = std::labs(stride);
-  if (stride < static_cast<long>(stride_factor_.size())) {
-    return stride_factor_[static_cast<std::size_t>(stride)];
-  }
-  return analytic_conflict_factor(stride);
 }
 
 Cycles MemoryModel::stream_cycles(long n_words, long stride) const {

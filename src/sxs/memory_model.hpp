@@ -7,19 +7,15 @@
 // strides and list vector access benefit from the very short bank cycle
 // time" — i.e. they are slower, but not catastrophically so.
 
-#include <vector>
-
 #include "sxs/machine_config.hpp"
 
 namespace ncar::sxs {
 
 class MemoryModel {
 public:
-  /// Precomputes the stride -> conflict-factor table for |stride| up to
-  /// `memory_banks` (gcd is periodic in the bank count, so that range
-  /// covers every distinct conflict geometry; larger strides fall back to
-  /// the analytic formula, which stays bit-identical to the table entries).
-  explicit MemoryModel(const MachineConfig& cfg);
+  /// Holds a reference to `cfg`; construction does no work, so a model for
+  /// any bank count is O(1) to build.
+  explicit MemoryModel(const MachineConfig& cfg) : cfg_(cfg) {}
 
   /// Cycles for a strided vector stream of `n` 8-byte words at `stride`.
   /// Unit stride and stride 2 run at full port width; larger strides pay a
@@ -35,7 +31,10 @@ public:
   /// Cycles for a scatter (list-vector store) of `n` words.
   Cycles scatter_cycles(long n_words) const;
 
-  /// Conflict multiplier for a constant-stride stream (>= 1).
+  /// Conflict multiplier for a constant-stride stream (>= 1), evaluated
+  /// from the gcd folding of |stride| onto the banks on every call. A Cpu
+  /// memoizes each priced VectorOp (common/cost_cache.hpp), so there this
+  /// runs only on an op-cost cache miss.
   double stride_conflict_factor(long stride) const;
 
   /// Full contiguous port width in 8-byte words per clock. Typed: the
@@ -46,10 +45,7 @@ public:
   }
 
 private:
-  double analytic_conflict_factor(long stride) const;
-
   const MachineConfig& cfg_;
-  std::vector<double> stride_factor_;  ///< index |stride| in [0, banks]
 };
 
 }  // namespace ncar::sxs

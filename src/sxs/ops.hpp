@@ -57,9 +57,12 @@ struct ScalarOp {
   friend bool operator==(const ScalarOp&, const ScalarOp&) = default;
 };
 
-/// Hash over the full VectorOp field tuple (doubles hashed by bit pattern;
-/// +0.0/-0.0 compare equal but hash apart, which only costs a duplicate
-/// cache slot, never a wrong value).
+/// Hash over the full VectorOp field tuple (doubles hashed by bit pattern).
+/// +0.0/-0.0 compare equal but hash apart. That never yields a wrong value,
+/// but it can cost a duplicate cache slot, and that lookup counts as a miss.
+/// Whether the duplicate arises depends on the table geometry (a probe that
+/// happens to reach the equal key's slot is a hit), so the pinned
+/// cost-cache counts assume the geometry in common/cost_cache.hpp.
 struct VectorOpHash {
   std::size_t operator()(const VectorOp& op) const {
     std::size_t seed = 0;

@@ -113,6 +113,19 @@ TEST(CostCache, ClearDropsEntriesAndCounters) {
   EXPECT_EQ(computed, 1);
 }
 
+TEST(CostCache, AllocatesOnFirstGetAndClearKeepsCapacity) {
+  Cache cache(32);
+  EXPECT_EQ(cache.capacity(), 0u);  // constructing allocates nothing
+  cache.clear();                    // nor does clearing an empty cache
+  EXPECT_EQ(cache.capacity(), 0u);
+  cache.get({1, 2}, [] { return 3.0; });
+  EXPECT_EQ(cache.capacity(), 32u);
+  cache.clear();
+  EXPECT_EQ(cache.capacity(), 32u);
+  EXPECT_EQ(cache.get({1, 2}, [] { return 4.0; }), 4.0);  // entry was dropped
+  EXPECT_EQ(cache.misses(), 1u);
+}
+
 TEST(CostCache, RejectsBadSlotCounts) {
   EXPECT_THROW(Cache(100), ncar::precondition_error);  // not a power of two
   EXPECT_THROW(Cache(8), ncar::precondition_error);    // below probe window

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "sxs/ops.hpp"
 
 namespace {
@@ -31,6 +32,15 @@ TEST(Comparator, AllPresetsValidate) {
   EXPECT_TRUE(c.has_vector());
   EXPECT_TRUE(d.has_vector());
   EXPECT_TRUE(e.has_vector());
+}
+
+TEST(Comparator, InvalidConfigThrowsConfigErrorBeforeBuildingTheCpu) {
+  // The spec is validated before the Cpu exists, so a bad bank count is
+  // reported as a configuration error, not as whatever the timing model
+  // would trip over first.
+  auto spec = Comparator::nec_sx4_single();
+  spec.cfg.memory_banks = -8;
+  EXPECT_THROW(Comparator{spec}, ncar::config_error);
 }
 
 TEST(Comparator, VectorMachinesWinLongVectorLoops) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -124,6 +125,23 @@ TEST(Probe, KernelsRecordAndUnknownNamesThrow) {
   EXPECT_EQ(vfft.ops.size(), 8u);
   EXPECT_EQ(vfft.total_charges(), 8.0 * 128.0);
   EXPECT_THROW(record_probe("linpack"), ncar::config_error);
+}
+
+TEST(Probe, ReplayCostCacheCountsArePinned) {
+  // The committed bench baselines record these op-cost cache counts. They
+  // depend on the cache's geometry (initial slots, probe window, hash,
+  // growth and eviction), so a geometry change fails here first.
+  const auto spec = ncar::machines::spec_for("NEC SX-4/1");
+  const auto expect_counts = [&](const char* kernel, std::uint64_t hits,
+                                 std::uint64_t misses) {
+    SCOPED_TRACE(kernel);
+    const auto replay = replay_probe(record_probe(kernel), spec);
+    EXPECT_EQ(replay.cache_hits, hits);
+    EXPECT_EQ(replay.cache_misses, misses);
+  };
+  expect_counts("radabs", 1050, 39);
+  expect_counts("hint", 47, 2);
+  expect_counts("vfft", 7, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,12 +7,26 @@
 #include <numeric>
 
 #include "common/error.hpp"
+#include "common/quantity.hpp"
 #include "sxs/machine_config.hpp"
 
 namespace {
 
 using ncar::sxs::MachineConfig;
 using ncar::sxs::MemoryModel;
+
+/// The conflict factor written out longhand (gcd folding, bank-cycle
+/// demand): the oracle for MemoryModel::stride_conflict_factor.
+double longhand(const MachineConfig& cfg, long stride) {
+  stride = std::labs(stride);
+  if (stride <= 2) return 1.0;
+  const long banks = cfg.memory_banks;
+  const long visited = banks / std::gcd(stride, banks);
+  const double demand =
+      ncar::to_words(cfg.port_bytes_per_clock).value() * cfg.bank_cycle_clocks;
+  return std::max(cfg.strided_port_divisor,
+                  demand / static_cast<double>(visited));
+}
 
 class MemoryModelTest : public ::testing::Test {
 protected:
@@ -90,29 +104,20 @@ TEST_F(MemoryModelTest, NegativeWordCountThrows) {
   EXPECT_THROW(mem.gather_cycles(-1), ncar::precondition_error);
 }
 
-TEST_F(MemoryModelTest, StrideTableMatchesAnalyticFormulaEverywhere) {
-  // The constructor tabulates strides [0, banks]; anything larger falls
-  // back to the analytic formula. Both paths must agree bit-for-bit with
-  // the formula written out longhand (gcd folding, bank-cycle demand).
-  const auto longhand = [&](long stride) {
-    stride = std::labs(stride);
-    if (stride <= 2) return 1.0;
-    const long visited = cfg.memory_banks / std::gcd(stride, cfg.memory_banks);
-    const double demand =
-        mem.port_words_per_clock().value() * cfg.bank_cycle_clocks;
-    return std::max(cfg.strided_port_divisor,
-                    demand / static_cast<double>(visited));
-  };
-  for (long s : {0L, 1L, 2L, 3L, 5L, 64L, 512L, 1023L, 1024L,  // in table
-                 1025L, 1536L, 2048L, 3072L, 100000L}) {       // beyond it
-    EXPECT_EQ(mem.stride_conflict_factor(s), longhand(s)) << "stride " << s;
-    EXPECT_EQ(mem.stride_conflict_factor(-s), longhand(s)) << "stride " << -s;
+TEST_F(MemoryModelTest, ConflictFactorMatchesLonghandFormula) {
+  // Bit-for-bit, for strides up to and beyond the bank count.
+  for (long s : {0L, 1L, 2L, 3L, 5L, 64L, 512L, 1023L, 1024L, 1025L, 1536L,
+                 2048L, 3072L, 100000L}) {
+    EXPECT_EQ(mem.stride_conflict_factor(s), longhand(cfg, s))
+        << "stride " << s;
+    EXPECT_EQ(mem.stride_conflict_factor(-s), longhand(cfg, s))
+        << "stride " << -s;
   }
 }
 
-TEST_F(MemoryModelTest, StridesBeyondTableFoldByGcdPeriodicity) {
-  // gcd(s, B) == gcd(s mod B, B): a stride past the table shares its
-  // conflict geometry with its in-table representative.
+TEST_F(MemoryModelTest, StridesFoldByGcdPeriodicity) {
+  // gcd(s, B) == gcd(s mod B, B): a stride beyond the bank count shares its
+  // conflict geometry with its representative in [1, B].
   const long banks = cfg.memory_banks;
   for (long s : {banks + 3, banks + 64, 3 * banks, 5 * banks + 512}) {
     long rep = s % banks == 0 ? banks : s % banks;
@@ -120,6 +125,21 @@ TEST_F(MemoryModelTest, StridesBeyondTableFoldByGcdPeriodicity) {
     EXPECT_EQ(mem.stride_conflict_factor(s), mem.stride_conflict_factor(rep))
         << "stride " << s;
   }
+}
+
+TEST(MemoryModelBanks, HugeBankCountBuildsAndPricesInConstantSpace) {
+  // A valid 2^30-bank machine: building its model must not depend on the
+  // bank count, and strides on either side of it price per the formula.
+  auto cfg = MachineConfig::sx4_product();
+  cfg.memory_banks = 1 << 30;
+  cfg.validate();
+  const MemoryModel mem{cfg};
+  for (long s : {3L, 1L << 29, (1L << 30) + 3}) {
+    EXPECT_EQ(mem.stride_conflict_factor(s), longhand(cfg, s))
+        << "stride " << s;
+  }
+  // 2^29 visits two banks: demand 16 words * 2 clocks over 2 banks.
+  EXPECT_EQ(mem.stride_conflict_factor(1L << 29), 16.0);
 }
 
 TEST(MemoryModelBanks, FewerBanksConflictSooner) {
