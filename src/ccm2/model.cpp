@@ -225,9 +225,11 @@ StepTiming Ccm2::charge_step(int ncpu) const {
   const double f = static_cast<double>(nlev);
   const int fields = cfg_.dynamics_fields;
 
-  // Serial step-management section (see Ccm2Config::serial_overhead_s).
+  // Serial step-management section (see Ccm2Config::serial_overhead_s):
+  // non-vectorised work on one CPU, so it is filed as scalar issue.
   timing.serial = node_->serial([&](sxs::Cpu& cpu) {
-    cpu.charge_seconds(Seconds(cfg_.serial_overhead_s));
+    cpu.charge_seconds(Seconds(cfg_.serial_overhead_s),
+                       trace::Category::Scalar);
   });
 
   // Region 1 (m-parallel): spectral-local work — inverse Laplacian, time

@@ -54,8 +54,9 @@ void Comparator::intrinsic(sxs::Intrinsic f, long n) {
   }
   cpu_.scalar_intrinsic(f, n);
   if (spec_.libm_call_overhead_cycles > 0 && n > 0) {
-    cpu_.charge_cycles(Cycles(spec_.libm_call_overhead_cycles *
-                              static_cast<double>(n)));
+    cpu_.charge_cycles(
+        Cycles(spec_.libm_call_overhead_cycles * static_cast<double>(n)),
+        trace::Category::Scalar);
   }
 }
 

@@ -71,12 +71,11 @@ public:
   /// Charge raw cycles (synchronisation, I/O waits, fixed overheads).
   /// Typed on purpose: a caller holding wall-clock time cannot charge it as
   /// cycles (or vice versa) without converting through a MachineConfig.
-  /// `category` files the charge in the attribution taxonomy; model code in
-  /// src/sxs and src/iosim must pass it explicitly (sxlint trace-category).
-  void charge_cycles(Cycles cycles,
-                     trace::Category category = trace::Category::Other);
-  void charge_seconds(Seconds seconds,
-                      trace::Category category = trace::Category::Other);
+  /// `category` files the charge in the attribution taxonomy. It has no
+  /// default, so an uncategorised charge is a compile error rather than a
+  /// silent `other` row.
+  void charge_cycles(Cycles cycles, trace::Category category);
+  void charge_seconds(Seconds seconds, trace::Category category);
 
   /// Adjust the equivalent-flop count without touching time (used when a
   /// kernel's Cray flop-count convention differs from the hardware count).

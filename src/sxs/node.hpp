@@ -84,8 +84,7 @@ public:
   double elapsed_seconds() const { return elapsed_; }
   /// Advance the node wall clock without CPU work (I/O waits, internode
   /// transfers); `category` files the wait in the runtime attribution.
-  void advance_seconds(Seconds s,
-                       trace::Category category = trace::Category::Other);
+  void advance_seconds(Seconds s, trace::Category category);
 
   /// Runtime-overhead track (seconds ticks): barrier and mean-per-rank idle
   /// time of parallel regions plus categorised clock advances. Its total

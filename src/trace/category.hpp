@@ -29,7 +29,8 @@
 //   io_xmu          XMU (semiconductor-disk) staging
 //   io_disk         conventional-disk transfers
 //   io_hippi        HIPPI channel transfers
-//   other           uncategorised charges + attribution rounding residue
+//   other           charges explicitly filed as other + attribution
+//                   rounding residue (no charge entry point defaults to it)
 //
 // Node-runtime categories (recorded on the node track, never charged to a
 // Cpu, so they sit outside the per-CPU conservation sum):

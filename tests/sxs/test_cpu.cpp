@@ -56,12 +56,12 @@ TEST_F(CpuTest, VectorOpAccumulatesCyclesAndFlops) {
 }
 
 TEST_F(CpuTest, SecondsAreCyclesTimesClock) {
-  cpu.charge_cycles(ncar::Cycles(1000.0));
+  cpu.charge_cycles(ncar::Cycles(1000.0), trace::Category::Other);
   EXPECT_NEAR(cpu.seconds(), 1000.0 * 9.2e-9, 1e-15);
 }
 
 TEST_F(CpuTest, ChargeSecondsRoundTrips) {
-  cpu.charge_seconds(ncar::Seconds(1e-3));
+  cpu.charge_seconds(ncar::Seconds(1e-3), trace::Category::Other);
   EXPECT_NEAR(cpu.seconds(), 1e-3, 1e-12);
 }
 
@@ -107,7 +107,7 @@ TEST_F(CpuTest, ContentionBelowOneThrows) {
 }
 
 TEST_F(CpuTest, ResetClearsEverything) {
-  cpu.charge_cycles(ncar::Cycles(10));
+  cpu.charge_cycles(ncar::Cycles(10), trace::Category::Other);
   cpu.add_equiv_flops(ncar::Flops(5));
   cpu.set_contention(1.5);
   cpu.reset();
@@ -117,8 +117,9 @@ TEST_F(CpuTest, ResetClearsEverything) {
 }
 
 TEST_F(CpuTest, NegativeChargesThrow) {
-  EXPECT_THROW(cpu.charge_cycles(ncar::Cycles(-1)), ncar::precondition_error);
-  EXPECT_THROW(cpu.charge_seconds(ncar::Seconds(-1)),
+  EXPECT_THROW(cpu.charge_cycles(ncar::Cycles(-1), trace::Category::Other),
+               ncar::precondition_error);
+  EXPECT_THROW(cpu.charge_seconds(ncar::Seconds(-1), trace::Category::Other),
                ncar::precondition_error);
   EXPECT_THROW(cpu.intrinsic(Intrinsic::Exp, -1), ncar::precondition_error);
 }

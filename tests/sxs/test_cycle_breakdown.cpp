@@ -33,7 +33,7 @@ TEST_F(BreakdownTest, ClassesPartitionTotal) {
   s.mem_words_per_iter = 2;
   cpu.scalar(s);
   cpu.intrinsic(Intrinsic::Exp, 200);
-  cpu.charge_cycles(ncar::Cycles(123.0));
+  cpu.charge_cycles(ncar::Cycles(123.0), trace::Category::Other);
 
   EXPECT_GT(cpu.vector_cycles(), 0.0);
   EXPECT_GT(cpu.scalar_cycles(), 0.0);

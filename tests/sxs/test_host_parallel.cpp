@@ -62,7 +62,8 @@ void charge_random_mix(Cpu& cpu, std::uint64_t seed) {
         break;
       }
       default:
-        cpu.charge_cycles(ncar::Cycles(rng.next_double() * 1e4));
+        cpu.charge_cycles(ncar::Cycles(rng.next_double() * 1e4),
+                          ncar::trace::Category::Other);
         break;
     }
   }

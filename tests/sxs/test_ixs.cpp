@@ -11,6 +11,7 @@ namespace {
 using ncar::sxs::Ixs;
 using ncar::sxs::Machine;
 using ncar::sxs::MachineConfig;
+using ncar::trace::Category;
 
 class IxsTest : public ::testing::Test {
 protected:
@@ -65,7 +66,7 @@ TEST_F(IxsTest, InvalidNodeCountsThrow) {
 TEST(MachineTest, MultiNodeMachineHasIndependentNodes) {
   Machine m(MachineConfig::sx4_multinode(2));
   EXPECT_EQ(m.node_count(), 2);
-  m.node(0).advance_seconds(ncar::Seconds(2.0));
+  m.node(0).advance_seconds(ncar::Seconds(2.0), Category::IxsTransfer);
   EXPECT_DOUBLE_EQ(m.node(1).elapsed_seconds(), 0.0);
   EXPECT_DOUBLE_EQ(m.elapsed_seconds(), 2.0);  // max over nodes
 }
@@ -85,8 +86,8 @@ TEST(MachineTest, IopChannelIs1Point6GBps) {
 
 TEST(MachineTest, ResetClearsAllNodes) {
   Machine m(MachineConfig::sx4_multinode(2));
-  m.node(0).advance_seconds(ncar::Seconds(1.0));
-  m.node(1).advance_seconds(ncar::Seconds(2.0));
+  m.node(0).advance_seconds(ncar::Seconds(1.0), Category::IxsTransfer);
+  m.node(1).advance_seconds(ncar::Seconds(2.0), Category::IxsTransfer);
   m.reset();
   EXPECT_DOUBLE_EQ(m.elapsed_seconds(), 0.0);
 }

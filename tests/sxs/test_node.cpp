@@ -11,6 +11,7 @@ using ncar::sxs::Cpu;
 using ncar::sxs::MachineConfig;
 using ncar::sxs::Node;
 using ncar::sxs::VectorOp;
+using ncar::trace::Category;
 
 VectorOp work(long n) {
   VectorOp op;
@@ -86,9 +87,9 @@ TEST_F(NodeTest, ParallelWidthBeyondNodeThrows) {
 }
 
 TEST_F(NodeTest, AdvanceAddsIdleTime) {
-  node.advance_seconds(ncar::Seconds(1.5));
+  node.advance_seconds(ncar::Seconds(1.5), Category::Idle);
   EXPECT_DOUBLE_EQ(node.elapsed_seconds(), 1.5);
-  EXPECT_THROW(node.advance_seconds(ncar::Seconds(-1)),
+  EXPECT_THROW(node.advance_seconds(ncar::Seconds(-1), Category::Idle),
                ncar::precondition_error);
 }
 

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "ccm2/model.hpp"
+#include "machines/comparator.hpp"
 #include "ocean/mom.hpp"
 #include "prodload/scheduler.hpp"
 #include "sxs/machine_config.hpp"
@@ -72,6 +75,65 @@ TEST(Conservation, Ccm2StepsConserve) {
     }
   }
   EXPECT_GT(categorised, 0.0);
+}
+
+/// Scalar and Other rows of a track's attribution table.
+struct ScalarOther {
+  double scalar;
+  double other;
+  double total;
+};
+
+ScalarOther scalar_and_other(const trace::Collector& track) {
+  const trace::Attribution a = trace::build_attribution(track);
+  return {a.rows[static_cast<std::size_t>(Category::Scalar)].ticks,
+          a.rows.back().ticks, a.total_ticks};
+}
+
+// CCM2's serial step-management section and a scalar machine's libm call
+// overhead are serial, non-vectorised work: both land in `scalar`, and
+// compared with the same run without the charge the `other` row does not
+// move. A category is only a tag, so the simulated seconds are pinned
+// bit-exactly.
+TEST(Conservation, SerialAndLibmOverheadChargesAreScalar) {
+  ModeGuard g(Mode::Summary);
+  const auto ccm2_step = [](double serial_s) {
+    sxs::Node node(MachineConfig::sx4_benchmarked());
+    ccm2::Ccm2Config c;
+    c.res = ccm2::t42l18();
+    c.active_levels = 1;
+    c.serial_overhead_s = serial_s;
+    ccm2::Ccm2 model(c, node);
+    const double seconds = model.step(8).total;
+    return std::pair{seconds, scalar_and_other(node.cpu(0).trace())};
+  };
+  const double serial_s = ccm2::Ccm2Config{}.serial_overhead_s;
+  const auto [step_s, with] = ccm2_step(serial_s);
+  const auto [bare_step_s, without] = ccm2_step(0.0);
+  const double serial_cycles =
+      MachineConfig::sx4_benchmarked().to_cycles(Seconds(serial_s)).value();
+  EXPECT_EQ(step_s, 0x1.6df46b609b5bap-4);
+  EXPECT_EQ(bare_step_s, 0x1.e62647650dc16p-5);
+  EXPECT_DOUBLE_EQ(with.scalar - without.scalar, serial_cycles);
+  EXPECT_NEAR(with.other, without.other, 1e-9 * with.total);
+
+  const auto libm_call = [](double overhead_cycles) {
+    machines::Spec spec = machines::Comparator::sun_sparc20();
+    spec.libm_call_overhead_cycles = overhead_cycles;
+    machines::Comparator cmp(spec);
+    cmp.intrinsic(sxs::Intrinsic::Exp, 1000);
+    return std::pair{cmp.seconds().value(),
+                     scalar_and_other(cmp.cpu().trace())};
+  };
+  const double overhead =
+      machines::Comparator::sun_sparc20().libm_call_overhead_cycles;
+  ASSERT_GT(overhead, 0.0);
+  const auto [libm_s, charged] = libm_call(overhead);
+  const auto [bare_libm_s, bare] = libm_call(0.0);
+  EXPECT_EQ(libm_s, 0x1.1f2f1a49d83b4p-10);
+  EXPECT_EQ(bare_libm_s, 0x1.dc4e1f1cd0c63p-13);
+  EXPECT_EQ(charged.scalar - bare.scalar, 1000.0 * overhead);
+  EXPECT_EQ(charged.other, bare.other);
 }
 
 TEST(Conservation, MomStepsConserve) {

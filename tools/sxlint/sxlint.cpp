@@ -172,13 +172,21 @@ std::vector<Finding> check_bench_reporter(const fs::path& root) {
 }
 
 std::vector<Finding> check_nondeterminism(const fs::path& root) {
-  // Model code must be deterministic: no wall clocks, no global RNG.
-  // `time` is only flagged when called; the rest are banned outright.
+  // Model code must be deterministic: no wall or CPU clocks, no global
+  // RNG. Short, common names are only flagged when called; the rest are
+  // banned outright.
   static const char* const kBannedIdents[] = {
-      "srand", "gettimeofday", "clock_gettime", "random_device",
+      "srand",        "gettimeofday", "clock_gettime",        "random_device",
+      "steady_clock", "system_clock", "high_resolution_clock",
   };
+  static const char* const kBannedCalls[] = {
+      "rand", "time", "clock", "drand48", "lrand48", "random", "getrusage",
+  };
+  std::vector<fs::path> files = collect(root / "src", ".cpp");
+  const auto headers = collect(root / "src", ".hpp");
+  files.insert(files.end(), headers.begin(), headers.end());
   std::vector<Finding> findings;
-  for (const auto& file : collect(root / "src", ".cpp")) {
+  for (const auto& file : files) {
     const std::string text = strip_comments_and_strings(read_file(file));
     for (const char* ident : kBannedIdents) {
       for (std::size_t pos = find_token(text, ident, 0);
@@ -189,7 +197,7 @@ std::vector<Finding> check_nondeterminism(const fs::path& root) {
                                 "derive time and randomness from the model"});
       }
     }
-    for (const char* called : {"rand", "time"}) {
+    for (const char* called : kBannedCalls) {
       const std::size_t len = std::string(called).size();
       for (std::size_t pos = find_token(text, called, 0);
            pos != std::string::npos;
@@ -324,47 +332,6 @@ std::vector<Finding> check_typed_units(const fs::path& root) {
   return findings;
 }
 
-std::vector<Finding> check_trace_category(const fs::path& root) {
-  // Every charge_cycles / charge_seconds call in the simulator core must
-  // name a trace::Category (or forward a `category` parameter): silently
-  // defaulted charges pile up in the Other bucket of the attribution
-  // tables. The argument list is the balanced-paren span after the call.
-  std::vector<Finding> findings;
-  for (const char* dir : {"sxs", "iosim"}) {
-    std::vector<fs::path> files = collect(root / "src" / dir, ".cpp");
-    const auto headers = collect(root / "src" / dir, ".hpp");
-    files.insert(files.end(), headers.begin(), headers.end());
-    for (const auto& file : files) {
-      const std::string text = strip_comments_and_strings(read_file(file));
-      for (const char* call : {"charge_cycles", "charge_seconds"}) {
-        const std::size_t len = std::string(call).size();
-        for (std::size_t pos = find_token(text, call, 0);
-             pos != std::string::npos;
-             pos = find_token(text, call, pos + 1)) {
-          if (!is_call(text, pos, len)) continue;
-          std::size_t open = text.find('(', pos + len);
-          std::size_t close = open;
-          int depth = 0;
-          for (; close < text.size(); ++close) {
-            if (text[close] == '(') ++depth;
-            if (text[close] == ')' && --depth == 0) break;
-          }
-          const std::string args =
-              text.substr(open + 1, close > open ? close - open - 1 : 0);
-          if (has_token(args, "Category") || has_token(args, "category")) {
-            continue;
-          }
-          findings.push_back({"trace-category", file, line_of(text, pos),
-                              std::string(call) +
-                                  " without a trace::Category; uncategorised "
-                                  "charges degrade the attribution tables"});
-        }
-      }
-    }
-  }
-  return findings;
-}
-
 void sort_and_dedupe(std::vector<Finding>& findings) {
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
@@ -383,8 +350,7 @@ void sort_and_dedupe(std::vector<Finding>& findings) {
 std::vector<Finding> lint_tree(const fs::path& root) {
   std::vector<Finding> all;
   for (auto* check : {check_bench_reporter, check_nondeterminism,
-                      check_stdout, check_pragma_once, check_typed_units,
-                      check_trace_category}) {
+                      check_stdout, check_pragma_once, check_typed_units}) {
     auto found = check(root);
     all.insert(all.end(), found.begin(), found.end());
   }

@@ -10,10 +10,13 @@
 //                       BenchReporter harness (so the regression gate sees
 //                       them); a stray printf-style bench silently escapes
 //                       baseline checking.
-//   no-nondeterminism   model code (src/) must not read wall clocks or
-//                       global RNG state: std::rand, srand, time(),
-//                       gettimeofday, clock_gettime, std::random_device.
-//                       Simulated time must come from the model itself.
+//   no-nondeterminism   model code (src/, sources and headers) must not
+//                       read wall clocks, CPU clocks or global RNG state:
+//                       calls to time, clock, rand, drand48, lrand48,
+//                       random, getrusage, and any use of srand,
+//                       gettimeofday, clock_gettime, std::random_device or
+//                       the std::chrono steady/system/high_resolution
+//                       clocks. Simulated time must come from the model.
 //   no-stdout           model code must not print; presentation lives in
 //                       bench/ and examples/.
 //   pragma-once         every header uses #pragma once.
@@ -24,11 +27,6 @@
 //                       A brace-stack access tracker (class opens private,
 //                       struct opens public, labels flip) lets private
 //                       helpers keep raw doubles.
-//   trace-category      charge_cycles / charge_seconds calls in src/sxs and
-//                       src/iosim must pass a trace::Category — an
-//                       uncategorised charge lands in the Other bucket of
-//                       every attribution table and degrades the paper-style
-//                       cycle breakdowns.
 //
 // Each finding carries the rule name, file, line, and message. main() prints
 // them `file:line: [rule] message` and exits non-zero on any finding.
@@ -68,6 +66,5 @@ std::vector<Finding> check_nondeterminism(const std::filesystem::path& root);
 std::vector<Finding> check_stdout(const std::filesystem::path& root);
 std::vector<Finding> check_pragma_once(const std::filesystem::path& root);
 std::vector<Finding> check_typed_units(const std::filesystem::path& root);
-std::vector<Finding> check_trace_category(const std::filesystem::path& root);
 
 }  // namespace ncar::sxlint

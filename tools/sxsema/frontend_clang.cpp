@@ -54,15 +54,10 @@ struct Walker {
 
   /// Root-relative POSIX path of `loc`'s spelling file ("" when the file
   /// is outside the root).
-  std::string rel_file(CXSourceLocation loc, unsigned* line = nullptr,
-                       unsigned* col = nullptr,
-                       unsigned* offset = nullptr) const {
+  std::string rel_file(CXSourceLocation loc, unsigned* line,
+                       unsigned* col) const {
     CXFile file;
-    unsigned l = 0, c = 0, off = 0;
-    clang_getSpellingLocation(loc, &file, &l, &c, &off);
-    if (line != nullptr) *line = l;
-    if (col != nullptr) *col = c;
-    if (offset != nullptr) *offset = off;
+    clang_getSpellingLocation(loc, &file, line, col, nullptr);
     if (file == nullptr) return "";
     const std::string abs =
         fs::path(to_string(clang_getFileName(file))).lexically_normal()
@@ -234,18 +229,6 @@ struct Walker {
            std::end(kGrowth);
   }
 
-  static bool is_banned_callee(const std::string& name,
-                               const std::string& qualified) {
-    static const char* const kBanned[] = {
-        "time",       "clock",        "gettimeofday", "clock_gettime",
-        "rand",       "srand",        "drand48",      "lrand48",
-        "random",     "getrusage"};
-    for (const char* b : kBanned) {
-      if (name == b) return true;
-    }
-    return name == "now" && qualified.find("_clock") != std::string::npos;
-  }
-
   static bool is_rng_engine_type(const std::string& canonical) {
     static const char* const kEngines[] = {
         "mersenne_twister_engine",   "linear_congruential_engine",
@@ -268,29 +251,6 @@ struct Walker {
     const CXCursor ref = clang_getCursorReferenced(call);
     site.callee_qualified =
         clang_Cursor_isNull(ref) == 0 ? qualified_name(ref) : callee;
-
-    // Written arguments only: a default-argument expression materialised
-    // by the compiler has its spelling location at the *declaration*, not
-    // inside the call's extent, so the extent test drops it.
-    unsigned call_begin = 0, call_end = 0;
-    const CXSourceRange extent = clang_getCursorExtent(call);
-    const std::string call_file =
-        rel_file(clang_getRangeStart(extent), nullptr, nullptr, &call_begin);
-    rel_file(clang_getRangeEnd(extent), nullptr, nullptr, &call_end);
-    const int n = clang_Cursor_getNumArguments(call);
-    for (int i = 0; i < n; ++i) {
-      const CXCursor arg =
-          clang_Cursor_getArgument(call, static_cast<unsigned>(i));
-      unsigned arg_off = 0;
-      const std::string arg_file = rel_file(clang_getCursorLocation(arg),
-                                            nullptr, nullptr, &arg_off);
-      if (arg_file != call_file || arg_off < call_begin ||
-          arg_off > call_end) {
-        continue;
-      }
-      site.arg_types.push_back(
-          canonical_spelling(clang_getCursorType(arg)));
-    }
     fn.calls.push_back(std::move(site));
   }
 
@@ -319,14 +279,6 @@ struct Walker {
               }
               const std::string callee =
                   to_string(clang_getCursorSpelling(c));
-              const std::string qualified =
-                  clang_Cursor_isNull(ref) == 0 ? qualified_name(ref)
-                                                : callee;
-              if (is_banned_callee(callee, qualified)) {
-                fn.ops.push_back({OpKind::BannedCall, cursor_loc(c),
-                                  qualified.empty() ? callee : qualified,
-                                  ""});
-              }
               if (is_growth_member(callee)) {
                 const std::string recv = receiver_type(c);
                 const char* container = container_of(recv);
@@ -406,12 +358,6 @@ struct Walker {
     fn.loc = loc;
     fn.tu = tu_name;
     fn.result_type = canonical_spelling(clang_getCursorResultType(c));
-    const CXType type = clang_getCursorType(c);
-    const int nargs = clang_getNumArgTypes(type);
-    for (int i = 0; i < nargs; ++i) {
-      fn.param_types.push_back(canonical_spelling(
-          clang_getArgType(type, static_cast<unsigned>(i))));
-    }
     const auto access = clang_getCXXAccessSpecifier(c);
     fn.is_public = access != CX_CXXPrivate && access != CX_CXXProtected;
     fn.is_definition = clang_isCursorDefinition(c) != 0;

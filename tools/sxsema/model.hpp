@@ -16,8 +16,8 @@
 //
 // A Function is one function-shaped declaration (free function, method,
 // constructor, lambda bodies fold into their lexical owner) with the three
-// things the rules consume: its public signature, the calls it makes, and
-// a flat list of "interesting operations" found in its body.
+// things the rules consume: its return type and access, the calls it
+// makes, and a flat list of "interesting operations" found in its body.
 
 #include <string>
 #include <vector>
@@ -53,8 +53,6 @@ enum class OpKind {
   /// Iteration over an unordered associative container (range-for or
   /// explicit begin()); detail = container type spelling.
   UnorderedIter,
-  /// Call to a wall-clock / global-RNG primitive; detail = callee.
-  BannedCall,
   /// Declaration of a std:: random engine or distribution outside the
   /// des::RngStream layer; detail = type spelling.
   RngEngine,
@@ -72,18 +70,12 @@ struct CallSite {
   std::string callee_qualified;  ///< "ncar::sxs::Cpu::charge_cycles" when
                                  ///< the reference resolves, else == callee
   SourceLoc loc;
-  /// Canonical type spellings of the *written* arguments (default-argument
-  /// expressions materialised by the compiler are excluded, which is what
-  /// lets the untagged-charge rule see a silently defaulted Category).
-  std::vector<std::string> arg_types;
 };
 
 struct Function {
   std::string name;       ///< unqualified spelling
   std::string qualified;  ///< fully qualified ("ncar::sxs::Cpu::vec")
   std::string result_type;  ///< canonical spelling of the return type
-  /// Canonical parameter type spellings, declaration order.
-  std::vector<std::string> param_types;
   SourceLoc loc;
   /// Main source file of the translation unit this record was seen in;
   /// the hot-path walk only follows calls into definitions visible in the

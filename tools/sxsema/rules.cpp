@@ -22,12 +22,6 @@ bool in_model_scope(const std::string& file) {
   return starts_with(file, "src/");
 }
 
-/// src/sxs + src/iosim: the scope of the charge-tagging discipline
-/// (mirrors sxlint's trace-category rule).
-bool in_charge_scope(const std::string& file) {
-  return starts_with(file, "src/sxs/") || starts_with(file, "src/iosim/");
-}
-
 bool is_raw_numeric(const std::string& type) {
   // Canonical spellings: std::uint64_t is `unsigned long` on LP64 hosts.
   return type == "double" || type == "float" || type == "unsigned long" ||
@@ -88,10 +82,6 @@ constexpr std::array<const char*, 10> kHotRoots = {
 bool is_hot_root(const Function& f) {
   return std::find(kHotRoots.begin(), kHotRoots.end(), f.name) !=
          kHotRoots.end();
-}
-
-bool is_charge_call(const std::string& name) {
-  return name == "charge_cycles" || name == "charge_seconds";
 }
 
 }  // namespace
@@ -156,13 +146,6 @@ std::vector<Finding> check_nondet(const Model& m) {
     if (!in_model_scope(f.loc.file)) continue;
     for (const FuncOp& op : f.ops) {
       switch (op.kind) {
-        case OpKind::BannedCall:
-          out.push_back(make(
-              "sema-nondet", op.loc, f,
-              "call to " + op.detail +
-                  " is nondeterministic; simulated time and randomness "
-                  "must come from the model"));
-          break;
         case OpKind::RngEngine:
           // The des RNG layer and the repo's own xoshiro generator are
           // the blessed homes for raw engine state.
@@ -227,57 +210,9 @@ std::vector<Finding> check_hot_alloc(const Model& m) {
   return out;
 }
 
-std::vector<Finding> check_untagged_charge(const Model& m) {
-  std::vector<Finding> out;
-  for (const Function& f : m.functions) {
-    // Overload dodge: a charge entry point declared in the simulator core
-    // without a Category parameter can never be called with one.
-    if (is_charge_call(f.name) && in_charge_scope(f.loc.file)) {
-      bool has_category = false;
-      for (const std::string& t : f.param_types) {
-        if (t.find("trace::Category") != std::string::npos) {
-          has_category = true;
-          break;
-        }
-      }
-      if (!has_category) {
-        out.push_back(make(
-            "sema-untagged-charge", f.loc, f,
-            "'" + f.qualified +
-                "' overload has no trace::Category parameter; charge "
-                "entry points must carry a category"));
-      }
-    }
-    // Call sites: every charge in the simulator core must pass an explicit
-    // Category argument. arg_types holds only *written* arguments, so a
-    // silently defaulted Category does not count.
-    for (const CallSite& call : f.calls) {
-      if (!is_charge_call(call.callee)) continue;
-      if (!in_charge_scope(call.loc.file)) continue;
-      bool has_category = false;
-      for (const std::string& t : call.arg_types) {
-        if (t.find("trace::Category") != std::string::npos) {
-          has_category = true;
-          break;
-        }
-      }
-      if (!has_category) {
-        out.push_back(make(
-            "sema-untagged-charge", call.loc, f,
-            call.callee +
-                " without an explicit trace::Category argument; "
-                "uncategorised charges land in the Other attribution "
-                "bucket"));
-      }
-    }
-  }
-  return out;
-}
-
 std::vector<Finding> run_rules(const Model& m) {
   std::vector<Finding> all;
-  for (auto* check : {check_unit_leak, check_nondet, check_hot_alloc,
-                      check_untagged_charge}) {
+  for (auto* check : {check_unit_leak, check_nondet, check_hot_alloc}) {
     auto found = check(m);
     all.insert(all.end(), found.begin(), found.end());
   }

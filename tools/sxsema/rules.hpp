@@ -2,7 +2,7 @@
 // sxsema rule engine: AST-level project invariants, tier 2 of the repo's
 // static analysis (tier 1 is the token-based sxlint).
 //
-// Four rule families, run over the semantic model (model.hpp):
+// Three rule families, run over the semantic model (model.hpp):
 //
 //   sema-unit-leak       public functions in src/sxs, src/machines,
 //                        src/iosim and src/des must not return raw
@@ -10,12 +10,13 @@
 //                        (a `.value()` unwrap flowing into the return), and
 //                        cycles<->seconds re-wrapping is only legal inside
 //                        MachineConfig::to_seconds / to_cycles.
-//   sema-nondet          model code must not call wall clocks or global
-//                        RNG primitives, must not declare std:: random
-//                        engines outside the des RNG layer, and must not
-//                        iterate unordered containers (iteration order is
+//   sema-nondet          model code must not declare std:: random engines
+//                        outside the des RNG layer and must not iterate
+//                        unordered containers (iteration order is
 //                        nondeterministic and poisons charged or
-//                        serialized state).
+//                        serialized state). Wall-clock and libc RNG calls
+//                        are sxlint's no-nondeterminism: a name check
+//                        needs no AST.
 //   sema-hot-alloc       charge_step / charge_cycles / charge_seconds /
 //                        access_range / access_stream plus the numeric
 //                        time-step roots (step / baroclinic_step /
@@ -24,13 +25,10 @@
 //                        visible in the same TU) must not allocate: no
 //                        new-expressions, no container growth, no
 //                        std::string construction.
-//   sema-untagged-charge charge_cycles / charge_seconds call sites in
-//                        src/sxs and src/iosim must pass an explicit
-//                        trace::Category argument (the semantic re-take of
-//                        sxlint's trace-category: overloads, wrappers and
-//                        silently defaulted arguments cannot dodge a type
-//                        check), and charge_* overloads declared there
-//                        must carry a Category parameter.
+//
+// Charge categories need no rule: Cpu::charge_cycles/charge_seconds and
+// Node::advance_seconds take their trace::Category without a default, so
+// the compiler rejects an uncategorised charge.
 //
 // Findings are strictly ordered by (file, line, rule, message) and exact
 // duplicates are dropped, so tier-1 and tier-2 reports diff cleanly.
@@ -66,7 +64,6 @@ std::vector<Finding> run_rules(const Model& m);
 std::vector<Finding> check_unit_leak(const Model& m);
 std::vector<Finding> check_nondet(const Model& m);
 std::vector<Finding> check_hot_alloc(const Model& m);
-std::vector<Finding> check_untagged_charge(const Model& m);
 
 /// Sort by (file, line, rule, message) and drop exact duplicates.
 void sort_and_dedupe(std::vector<Finding>& findings);

@@ -44,12 +44,9 @@ constexpr RuleDoc kRuleDocs[] = {
      "charge_step/charge_cycles/access_range and numeric time-step roots "
      "(step/advect/combine) call graphs must not allocate"},
     {"sema-nondet",
-     "no wall clocks, raw std random engines, or unordered iteration in "
-     "model code"},
+     "no raw std random engines or unordered iteration in model code"},
     {"sema-unit-leak",
      "no raw double/uint64 escape of dimensioned ncar::Quantity values"},
-    {"sema-untagged-charge",
-     "charge_cycles/charge_seconds must pass an explicit trace::Category"},
 };
 
 // --- minimal JSON reader (baseline files only) -----------------------------

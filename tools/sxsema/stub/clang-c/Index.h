@@ -29,12 +29,6 @@ typedef struct {
   unsigned int_data;
 } CXSourceLocation;
 
-typedef struct {
-  const void* ptr_data[2];
-  unsigned begin_int_data;
-  unsigned end_int_data;
-} CXSourceRange;
-
 struct CXUnsavedFile {
   const char* Filename;
   const char* Contents;
@@ -149,13 +143,6 @@ CXCursor clang_getCursorSemanticParent(CXCursor cursor);
 int clang_Cursor_isNull(CXCursor cursor);
 unsigned clang_isCursorDefinition(CXCursor cursor);
 enum CX_CXXAccessSpecifier clang_getCXXAccessSpecifier(CXCursor cursor);
-int clang_Cursor_getNumArguments(CXCursor cursor);
-CXCursor clang_Cursor_getArgument(CXCursor cursor, unsigned i);
-CXSourceRange clang_getCursorExtent(CXCursor cursor);
-CXSourceLocation clang_getRangeStart(CXSourceRange range);
-CXSourceLocation clang_getRangeEnd(CXSourceRange range);
-int clang_getNumArgTypes(CXType type);
-CXType clang_getArgType(CXType type, unsigned i);
 unsigned clang_equalCursors(CXCursor a, CXCursor b);
 
 #ifdef __cplusplus
