@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "sxs/ops.hpp"
 #include "trace/category.hpp"
 
@@ -31,6 +32,7 @@ Ccm2::Ccm2(const Ccm2Config& cfg, sxs::Node& node)
   NCAR_REQUIRE(cfg_.active_levels >= 1 && cfg_.active_levels <= cfg_.res.nlev,
                "active_levels must be in [1, nlev]");
   NCAR_REQUIRE(cfg_.radiation_col_stride >= 1, "radiation column stride");
+  sht_.set_thread_pool(node.host_pool());
   reset();
 }
 
@@ -126,6 +128,11 @@ StepTiming Ccm2::step(int ncpu) {
   const double a = cfg_.radius;
   const double dt = cfg_.res.dt_seconds;
   const bool first = (steps_ == 0);
+  // The transforms and the SLT split their rows over the node's host
+  // pool; the grid, spectral-update and physics loops are cheap and stay
+  // serial. Re-fitting allocates only if the node's pool changed.
+  ThreadPool* pool = node_->host_pool();
+  sht_.set_thread_pool(pool);
 
   // ---- numerics (host), per active level --------------------------------
   for (int l = 0; l < L; ++l) {
@@ -179,7 +186,7 @@ StepTiming Ccm2::step(int ncpu) {
     }
 
     // Semi-Lagrangian moisture transport with the updated winds.
-    slt_.advect(q_[static_cast<std::size_t>(l)], ug_, vg_, dt, qn_);
+    slt_.advect(q_[static_cast<std::size_t>(l)], ug_, vg_, dt, qn_, pool);
     std::swap(q_[static_cast<std::size_t>(l)], qn_);
 
     // Column physics (sampled numerics): radiative heating with the RADABS

@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 
 namespace ncar::ccm2 {
 
@@ -29,7 +30,7 @@ int SemiLagrangian::lat_cell(double phi) const {
 
 void SemiLagrangian::advect(const Array2D<double>& q, const Array2D<double>& u,
                             const Array2D<double>& v, double dt,
-                            Array2D<double>& out) const {
+                            Array2D<double>& out, ThreadPool* pool) const {
   const std::size_t nlon = static_cast<std::size_t>(nlon_);
   const std::size_t nlat = phi_.size();
   NCAR_REQUIRE(q.ni() == nlon && q.nj() == nlat, "q shape");
@@ -41,48 +42,52 @@ void SemiLagrangian::advect(const Array2D<double>& q, const Array2D<double>& u,
   const double phi_min = phi_.front();
   const double phi_max = phi_.back();
 
-  for (std::size_t j = 0; j < nlat; ++j) {
-    const double cosphi = std::cos(phi_[j]);
-    for (std::size_t i = 0; i < nlon; ++i) {
-      // Backward trajectory (one Euler step; adequate for the benchmark's
-      // CFL-respecting time steps).
-      const double lam_d =
-          static_cast<double>(i) * dlon_ - u(i, j) * dt / (radius_ * cosphi);
-      const double phi_d =
-          std::clamp(phi_[j] - v(i, j) * dt / radius_, phi_min, phi_max);
+  const auto advect_rows = [&](int, int row_lo, int row_hi) {
+    for (auto j = static_cast<std::size_t>(row_lo);
+         j < static_cast<std::size_t>(row_hi); ++j) {
+      const double cosphi = std::cos(phi_[j]);
+      for (std::size_t i = 0; i < nlon; ++i) {
+        // Backward trajectory (one Euler step; adequate for the benchmark's
+        // CFL-respecting time steps).
+        const double lam_d =
+            static_cast<double>(i) * dlon_ - u(i, j) * dt / (radius_ * cosphi);
+        const double phi_d =
+            std::clamp(phi_[j] - v(i, j) * dt / radius_, phi_min, phi_max);
 
-      // Longitude cell (periodic).
-      double lam_rel = lam_d / dlon_;
-      lam_rel -= std::floor(lam_rel / nlon_) * nlon_;
-      const long i0 = static_cast<long>(std::floor(lam_rel)) % nlon_;
-      const long i1 = (i0 + 1) % nlon_;
-      const double fx = lam_rel - std::floor(lam_rel);
+        // Longitude cell (periodic).
+        double lam_rel = lam_d / dlon_;
+        lam_rel -= std::floor(lam_rel / nlon_) * nlon_;
+        const long i0 = static_cast<long>(std::floor(lam_rel)) % nlon_;
+        const long i1 = (i0 + 1) % nlon_;
+        const double fx = lam_rel - std::floor(lam_rel);
 
-      // Latitude cell (clamped at the poleward-most circles).
-      const int j0 = lat_cell(phi_d);
-      const int j1 = j0 + 1;
-      const double span = phi_[static_cast<std::size_t>(j1)] -
-                          phi_[static_cast<std::size_t>(j0)];
-      const double fy =
-          std::clamp((phi_d - phi_[static_cast<std::size_t>(j0)]) / span, 0.0,
-                     1.0);
+        // Latitude cell (clamped at the poleward-most circles).
+        const int j0 = lat_cell(phi_d);
+        const int j1 = j0 + 1;
+        const double span = phi_[static_cast<std::size_t>(j1)] -
+                            phi_[static_cast<std::size_t>(j0)];
+        const double fy =
+            std::clamp((phi_d - phi_[static_cast<std::size_t>(j0)]) / span, 0.0,
+                       1.0);
 
-      // Bilinear interpolation — the gather — over the four corners.
-      const double q00 = q(static_cast<std::size_t>(i0), static_cast<std::size_t>(j0));
-      const double q10 = q(static_cast<std::size_t>(i1), static_cast<std::size_t>(j0));
-      const double q01 = q(static_cast<std::size_t>(i0), static_cast<std::size_t>(j1));
-      const double q11 = q(static_cast<std::size_t>(i1), static_cast<std::size_t>(j1));
-      double val = (1 - fx) * (1 - fy) * q00 + fx * (1 - fy) * q10 +
-                   (1 - fx) * fy * q01 + fx * fy * q11;
+        // Bilinear interpolation — the gather — over the four corners.
+        const double q00 = q(static_cast<std::size_t>(i0), static_cast<std::size_t>(j0));
+        const double q10 = q(static_cast<std::size_t>(i1), static_cast<std::size_t>(j0));
+        const double q01 = q(static_cast<std::size_t>(i0), static_cast<std::size_t>(j1));
+        const double q11 = q(static_cast<std::size_t>(i1), static_cast<std::size_t>(j1));
+        double val = (1 - fx) * (1 - fy) * q00 + fx * (1 - fy) * q10 +
+                     (1 - fx) * fy * q01 + fx * fy * q11;
 
-      // Shape-preserving limiter: stay inside the cell envelope.
-      const double lo = std::min(std::min(q00, q10), std::min(q01, q11));
-      const double hi = std::max(std::max(q00, q10), std::max(q01, q11));
-      val = std::clamp(val, lo, hi);
+        // Shape-preserving limiter: stay inside the cell envelope.
+        const double lo = std::min(std::min(q00, q10), std::min(q01, q11));
+        const double hi = std::max(std::max(q00, q10), std::max(q01, q11));
+        val = std::clamp(val, lo, hi);
 
-      out(i, j) = val;
+        out(i, j) = val;
+      }
     }
-  }
+  };
+  parallel_blocks(pool, static_cast<int>(nlat), advect_rows);
 }
 
 double SemiLagrangian::mass(const Array2D<double>& q) const {

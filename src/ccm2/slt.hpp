@@ -12,6 +12,10 @@
 #include "common/array.hpp"
 #include "spectral/gauss.hpp"
 
+namespace ncar {
+class ThreadPool;
+}
+
 namespace ncar::ccm2 {
 
 class SemiLagrangian {
@@ -21,9 +25,12 @@ public:
   SemiLagrangian(const spectral::GaussNodes& nodes, int nlon, double radius);
 
   /// Advect `q` with winds (u east, v north, m/s) over `dt` seconds.
-  /// All fields are (nlon, nlat), longitude contiguous.
+  /// All fields are (nlon, nlat), longitude contiguous. Latitude rows are
+  /// split over the lanes of `pool` (nullptr: inline); every point is
+  /// computed by one lane, so `out` is bit-identical for every pool.
   void advect(const Array2D<double>& q, const Array2D<double>& u,
-              const Array2D<double>& v, double dt, Array2D<double>& out) const;
+              const Array2D<double>& v, double dt, Array2D<double>& out,
+              ThreadPool* pool = nullptr) const;
 
   /// Global mass integral: sum q * w_j (quadrature-weighted mean * 2).
   double mass(const Array2D<double>& q) const;

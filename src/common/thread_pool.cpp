@@ -111,11 +111,11 @@ void ThreadPool::parallel_for(int n, const std::function<void(int)>& fn) {
   if (b->error) std::rethrow_exception(b->error);
 }
 
-int ThreadPool::configured_host_threads() {
-  if (const char* env = std::getenv("SX4NCAR_HOST_THREADS")) {
+int ThreadPool::threads_from_env(const char* value) {
+  if (value != nullptr) {
     char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0') {
+    const long n = std::strtol(value, &end, 10);
+    if (end != value && *end == '\0') {
       return static_cast<int>(std::clamp(n, 1L, 1024L));
     }
   }
@@ -123,9 +123,48 @@ int ThreadPool::configured_host_threads() {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
+int ThreadPool::configured_host_threads() {
+  return threads_from_env(std::getenv("SX4NCAR_HOST_THREADS"));
+}
+
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool(configured_host_threads());
   return pool;
+}
+
+namespace {
+
+int lane_count(const ThreadPool* pool) {
+  return pool != nullptr ? pool->thread_count() : 1;
+}
+
+}  // namespace
+
+void parallel_blocks(ThreadPool* pool, int n,
+                     const std::function<void(int, int, int)>& fn) {
+  if (n <= 0) return;
+  const int lanes = std::min(lane_count(pool), n);
+  if (lanes == 1) {
+    fn(0, 0, n);
+    return;
+  }
+  pool->parallel_for(lanes, [&](int lane) {
+    const long lo = static_cast<long>(n) * lane / lanes;
+    const long hi = static_cast<long>(n) * (lane + 1) / lanes;
+    fn(lane, static_cast<int>(lo), static_cast<int>(hi));
+  });
+}
+
+LaneArenas::LaneArenas(std::size_t doubles, const ThreadPool* pool)
+    : doubles_(doubles) {
+  fit(pool);
+}
+
+void LaneArenas::fit(const ThreadPool* pool) {
+  const auto lanes = static_cast<std::size_t>(lane_count(pool));
+  if (arenas_.size() >= lanes) return;
+  arenas_.resize(lanes);
+  for (Arena& a : arenas_) a.reserve(doubles_);
 }
 
 }  // namespace ncar

@@ -1,6 +1,7 @@
 #pragma once
 // A small fork-join host thread pool used to run simulated-CPU work bodies
-// concurrently on the host.
+// concurrently on the host, plus parallel_blocks, which splits the host
+// numerics of the application models over the same pool.
 //
 // The pool distributes the indices of a `parallel_for` through a shared
 // atomic counter, so idle threads steal whatever indices remain — a blocked
@@ -21,6 +22,8 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "common/arena.hpp"
 
 namespace ncar {
 
@@ -52,6 +55,11 @@ public:
   /// std::thread::hardware_concurrency() when unset or unparsable.
   static int configured_host_threads();
 
+  /// The parser behind configured_host_threads(): `value` is the raw
+  /// environment string, or nullptr when the variable is unset. Decimal
+  /// integers clamp to [1, 1024]; anything else means hardware width.
+  static int threads_from_env(const char* value);
+
 private:
   struct Batch;
 
@@ -65,6 +73,38 @@ private:
   std::condition_variable cv_;
   std::deque<std::shared_ptr<Batch>> active_;
   bool stop_ = false;
+};
+
+/// Split [0, n) into one contiguous block per lane — a lane per pool
+/// thread, one when `pool` is null, never more than n — and run
+/// `fn(lane, lo, hi)` once per block, lane l covering [n*l/lanes,
+/// n*(l+1)/lanes). Lanes run concurrently on the pool; with a null pool or
+/// one lane this is the inline call fn(0, 0, n). Every index belongs to
+/// exactly one lane, so a body that writes only the outputs of its own
+/// indices computes the same values at every lane count. `lane` is unique
+/// among the blocks of one call: per-lane scratch indexed by it is never
+/// shared.
+void parallel_blocks(ThreadPool* pool, int n,
+                     const std::function<void(int, int, int)>& fn);
+
+/// One scratch Arena per lane of parallel_blocks, so lanes never share
+/// workspace. fit() is the only call that allocates, and only when the
+/// lane count grows; hot paths index it.
+class LaneArenas {
+public:
+  /// Arenas of `doubles` each for the lanes of `pool`.
+  LaneArenas(std::size_t doubles, const ThreadPool* pool);
+
+  /// Grow to one arena per lane of `pool`; no-op when there are enough.
+  void fit(const ThreadPool* pool);
+
+  Arena& operator[](int lane) {
+    return arenas_[static_cast<std::size_t>(lane)];
+  }
+
+private:
+  std::size_t doubles_;
+  std::vector<Arena> arenas_;
 };
 
 }  // namespace ncar

@@ -37,14 +37,7 @@ Mom::Mom(const MomConfig& cfg, sxs::Node& node)
       mask_im_(temp_.ni(), temp_.nj()),
       mask_jp_(temp_.ni(), temp_.nj()),
       mask_jm_(temp_.ni(), temp_.nj()),
-      sip_(temp_.ni()),
-      sim_(temp_.ni()),
-      aip_(temp_.ni()),
-      aim_(temp_.ni()),
-      ajp_(temp_.ni()),
-      ajm_(temp_.ni()),
-      uu_(temp_.ni()),
-      vv_(temp_.ni()),
+      lane_rows_(8 * temp_.ni(), node.host_pool()),
       zeros_(temp_.ni(), 0.0) {
   NCAR_REQUIRE(cfg.nlev >= 2, "need at least two levels");
   NCAR_REQUIRE(cfg.sor_iters >= 1 && cfg.diag_every >= 1, "config");
@@ -161,60 +154,82 @@ void Mom::baroclinic_step() {
   const double kappa = 0.05;  // grid-units diffusivity * dt
   const double adv = 0.2;     // CFL-safe advection coefficient
   const simd::KernelTable& kt = simd::table();
-  const std::size_t row_bytes = (static_cast<std::size_t>(nlon) - 1) *
-                                sizeof(double);
+  const auto n = static_cast<std::size_t>(nlon);
+  const std::size_t row_bytes = (n - 1) * sizeof(double);
+  // Interior rows j = 1 .. nlat-2 are split over the lanes of the node's
+  // host pool: lane blocks cover row indices [lo, hi) = j - 1. Every loop
+  // below writes only its own rows, and each column keeps its ascending-k
+  // order, so the state is bit-identical for every lane count.
+  ThreadPool* pool = node_->host_pool();
+  lane_rows_.fit(pool);
+  const int rows = nlat - 2;
 
   for (auto* field : {&temp_, &salt_}) {
     auto& f = *field;
-    for (int k = 0; k < nlev; ++k) {
-      const double depth_damp = std::exp(-2.0 * k / nlev);
+    // The stencil reads the j +- 1 rows of f, so every lane finishes it
+    // before any lane commits.
+    parallel_blocks(pool, rows, [&](int lane, int lo, int hi) {
+      Arena& arena = lane_rows_[lane];
+      ArenaScope frame(arena);
+      double* sip = arena.take<double>(n).data();
+      double* sim = arena.take<double>(n).data();
+      double* aip = arena.take<double>(n).data();
+      double* aim = arena.take<double>(n).data();
+      double* ajp = arena.take<double>(n).data();
+      double* ajm = arena.take<double>(n).data();
+      double* uu = arena.take<double>(n).data();
+      double* vv = arena.take<double>(n).data();
+      for (int k = 0; k < nlev; ++k) {
+        const double depth_damp = std::exp(-2.0 * k / nlev);
+        const std::size_t kk = static_cast<std::size_t>(k);
+        for (int j = lo + 1; j < hi + 1; ++j) {
+          const std::size_t jj = static_cast<std::size_t>(j);
+          const double* fc = &f(0, jj, kk);
+          // Periodic i-shifts of the row, then coastline no-flux selects:
+          // a land neighbour contributes the centre value instead.
+          std::memcpy(sip, fc + 1, row_bytes);
+          sip[n - 1] = fc[0];
+          sim[0] = fc[n - 1];
+          std::memcpy(sim + 1, fc, row_bytes);
+          kt.select_d(&mask_ip_(0, jj), sip, fc, aip, nlon);
+          kt.select_d(&mask_im_(0, jj), sim, fc, aim, nlon);
+          kt.select_d(&mask_jp_(0, jj), &f(0, jj + 1, kk), fc, ajp, nlon);
+          kt.select_d(&mask_jm_(0, jj), &f(0, jj - 1, kk), fc, ajm, nlon);
+          kt.scale_d(&u_(0, jj), depth_damp, uu, nlon);
+          kt.scale_d(&v_(0, jj), depth_damp, vv, nlon);
+          double* srow = &scratch_(0, jj, kk);
+          kt.mom_stencil_d(fc, aip, aim, ajp, ajm, uu, vv, adv, kappa, srow,
+                           nlon);
+          kt.select_d(&mask_c_(0, jj), srow, zeros_.data(), srow, nlon);
+        }
+      }
+    });
+    parallel_blocks(pool, rows, [&](int, int lo, int hi) {
+      for (int k = 0; k < nlev; ++k) {
+        const std::size_t kk = static_cast<std::size_t>(k);
+        for (int j = lo + 1; j < hi + 1; ++j) {
+          const std::size_t jj = static_cast<std::size_t>(j);
+          kt.select_d(&mask_c_(0, jj), &scratch_(0, jj, kk), &f(0, jj, kk),
+                      &f(0, jj, kk), nlon);
+        }
+      }
+    });
+  }
+  // Convective adjustment on temperature columns (the unvectorised column
+  // loop): mix statically unstable neighbours (deeper water must not be
+  // warmer). Columns are independent and each column still sees its
+  // k-cascade in ascending order, so running the level pair across whole
+  // rows reorders nothing; land columns are identically zero, so the
+  // lower > upper test never fires there.
+  parallel_blocks(pool, rows, [&](int, int lo, int hi) {
+    for (int k = 0; k + 1 < nlev; ++k) {
       const std::size_t kk = static_cast<std::size_t>(k);
-      for (int j = 1; j < nlat - 1; ++j) {
+      for (int j = lo + 1; j < hi + 1; ++j) {
         const std::size_t jj = static_cast<std::size_t>(j);
-        const double* fc = &f(0, jj, kk);
-        // Periodic i-shifts of the row, then coastline no-flux selects:
-        // a land neighbour contributes the centre value instead.
-        std::memcpy(sip_.data(), fc + 1, row_bytes);
-        sip_[static_cast<std::size_t>(nlon) - 1] = fc[0];
-        sim_[0] = fc[static_cast<std::size_t>(nlon) - 1];
-        std::memcpy(sim_.data() + 1, fc, row_bytes);
-        kt.select_d(&mask_ip_(0, jj), sip_.data(), fc, aip_.data(), nlon);
-        kt.select_d(&mask_im_(0, jj), sim_.data(), fc, aim_.data(), nlon);
-        kt.select_d(&mask_jp_(0, jj), &f(0, jj + 1, kk), fc, ajp_.data(),
-                    nlon);
-        kt.select_d(&mask_jm_(0, jj), &f(0, jj - 1, kk), fc, ajm_.data(),
-                    nlon);
-        kt.scale_d(&u_(0, jj), depth_damp, uu_.data(), nlon);
-        kt.scale_d(&v_(0, jj), depth_damp, vv_.data(), nlon);
-        double* srow = &scratch_(0, jj, kk);
-        kt.mom_stencil_d(fc, aip_.data(), aim_.data(), ajp_.data(),
-                         ajm_.data(), uu_.data(), vv_.data(), adv, kappa,
-                         srow, nlon);
-        kt.select_d(&mask_c_(0, jj), srow, zeros_.data(), srow, nlon);
+        kt.mix_unstable_d(&temp_(0, jj, kk), &temp_(0, jj, kk + 1), nlon);
       }
     }
-    // Commit, then convective adjustment (the unvectorised column loop).
-    for (int k = 0; k < nlev; ++k) {
-      const std::size_t kk = static_cast<std::size_t>(k);
-      for (int j = 1; j < nlat - 1; ++j) {
-        const std::size_t jj = static_cast<std::size_t>(j);
-        kt.select_d(&mask_c_(0, jj), &scratch_(0, jj, kk), &f(0, jj, kk),
-                    &f(0, jj, kk), nlon);
-      }
-    }
-  }
-  // Convective adjustment on temperature columns: mix statically unstable
-  // neighbours (deeper water must not be warmer). Columns are independent
-  // and each column still sees its k-cascade in ascending order, so running
-  // the level pair across whole rows reorders nothing; land columns are
-  // identically zero, so the lower > upper test never fires there.
-  for (int k = 0; k + 1 < nlev; ++k) {
-    const std::size_t kk = static_cast<std::size_t>(k);
-    for (int j = 1; j < nlat - 1; ++j) {
-      const std::size_t jj = static_cast<std::size_t>(j);
-      kt.mix_unstable_d(&temp_(0, jj, kk), &temp_(0, jj, kk + 1), nlon);
-    }
-  }
+  });
 }
 
 void Mom::compute_diagnostics() {

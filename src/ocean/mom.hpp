@@ -21,6 +21,7 @@
 //   * serial diagnostics every 10 steps.
 
 #include "common/array.hpp"
+#include "common/thread_pool.hpp"
 #include "ocean/mask.hpp"
 #include "sxs/node.hpp"
 
@@ -111,11 +112,13 @@ private:
   Array3D<double> temp_, salt_;
   Array2D<double> psi_, forcing_, u_, v_;
   Array3D<double> scratch_;
-  // Precomputed 0/1 neighbour masks (centre, i+1, i-1, j+1, j-1) and
-  // per-row workspace for the vectorised baroclinic stencil — sized in the
-  // constructor so baroclinic_step never allocates.
+  // Precomputed 0/1 neighbour masks (centre, i+1, i-1, j+1, j-1) and,
+  // per lane of the node's host pool, eight rows of workspace for the
+  // vectorised baroclinic stencil — sized in the constructor so
+  // baroclinic_step allocates only if the node's pool grows.
   Array2D<double> mask_c_, mask_ip_, mask_im_, mask_jp_, mask_jm_;
-  std::vector<double> sip_, sim_, aip_, aim_, ajp_, ajm_, uu_, vv_, zeros_;
+  LaneArenas lane_rows_;
+  std::vector<double> zeros_;
   double sor_residual_ = 0;
   double diag_mean_t_ = 0, diag_ke_ = 0;
   long steps_ = 0;

@@ -1,5 +1,6 @@
 #include "spectral/sht.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -13,56 +14,54 @@ ShTransform::ShTransform(int truncation, int nlat, int nlon)
       table_(truncation, nodes_),
       nlat_(nlat),
       nlon_(nlon),
-      plan_(nlon) {
+      plan_(nlon),
+      // Per lane: two Fourier rows (synthesis_gradient) plus the real-FFT
+      // scratch nested after them.
+      lane_arenas_(4 * static_cast<std::size_t>(fft::spectrum_size(nlon)) +
+                       fft::real_fft_arena_doubles(nlon),
+                   nullptr) {
   NCAR_REQUIRE(nlon >= 2 * (truncation + 1),
                "longitude count cannot represent the truncation");
   NCAR_REQUIRE(fft::Plan::supported(nlon), "nlon must factor into 2,3,5");
-  // Worst-case transform workspace: two fm planes (synthesis_gradient) plus
-  // one Fourier row and the real-FFT scratch nested inside it.
-  const std::size_t fm_doubles = 2 * static_cast<std::size_t>(truncation + 1) *
-                                 static_cast<std::size_t>(nlat) * 2;
-  const std::size_t row_doubles =
-      2 * static_cast<std::size_t>(fft::spectrum_size(nlon));
-  arena_.reserve(fm_doubles + row_doubles + fft::real_fft_arena_doubles(nlon));
+  // The analysis fm plane.
+  arena_.reserve(static_cast<std::size_t>(truncation + 1) *
+                 static_cast<std::size_t>(nlat) * 2);
+}
+
+void ShTransform::set_thread_pool(ThreadPool* pool) {
+  pool_ = pool;
+  lane_arenas_.fit(pool);
 }
 
 void ShTransform::fourier_analysis(const Array2D<double>& grid,
                                    std::span<cd> fm) const {
   const int t = truncation();
-  ArenaScope frame(arena_);
-  auto spec_row =
-      arena_.take<cd>(static_cast<std::size_t>(fft::spectrum_size(nlon_)));
-  for (int j = 0; j < nlat_; ++j) {
-    fft::real_forward(plan_, grid.column(static_cast<std::size_t>(j)),
-                      spec_row, arena_);
-    for (int m = 0; m <= t; ++m) {
-      // F[m] = nlon * G_m; store G_m.
-      fm[static_cast<std::size_t>(m) * static_cast<std::size_t>(nlat_) +
-         static_cast<std::size_t>(j)] =
-          spec_row[static_cast<std::size_t>(m)] / static_cast<double>(nlon_);
+  parallel_blocks(pool_, nlat_, [&](int lane, int lo, int hi) {
+    Arena& arena = lane_arenas_[lane];
+    ArenaScope frame(arena);
+    auto spec_row =
+        arena.take<cd>(static_cast<std::size_t>(fft::spectrum_size(nlon_)));
+    for (int j = lo; j < hi; ++j) {
+      fft::real_forward(plan_, grid.column(static_cast<std::size_t>(j)),
+                        spec_row, arena);
+      for (int m = 0; m <= t; ++m) {
+        // F[m] = nlon * G_m; store G_m.
+        fm[static_cast<std::size_t>(m) * static_cast<std::size_t>(nlat_) +
+           static_cast<std::size_t>(j)] =
+            spec_row[static_cast<std::size_t>(m)] / static_cast<double>(nlon_);
+      }
     }
-  }
+  });
 }
 
-void ShTransform::fourier_synthesis(std::span<const cd> fm,
-                                    Array2D<double>& grid) const {
-  const int t = truncation();
-  ArenaScope frame(arena_);
-  auto spec_row =
-      arena_.take<cd>(static_cast<std::size_t>(fft::spectrum_size(nlon_)));
-  for (int j = 0; j < nlat_; ++j) {
-    for (int m = 0; m <= t; ++m) {
-      spec_row[static_cast<std::size_t>(m)] =
-          fm[static_cast<std::size_t>(m) * static_cast<std::size_t>(nlat_) +
-             static_cast<std::size_t>(j)] *
-          static_cast<double>(nlon_);
-    }
-    for (int m = t + 1; m < fft::spectrum_size(nlon_); ++m) {
-      spec_row[static_cast<std::size_t>(m)] = cd(0, 0);
-    }
-    auto col = grid.column(static_cast<std::size_t>(j));
-    fft::real_inverse(plan_, spec_row, col, arena_);
+void ShTransform::fourier_synthesis_row(std::span<cd> row,
+                                        std::span<double> out,
+                                        Arena& arena) const {
+  for (std::size_t m = static_cast<std::size_t>(truncation()) + 1;
+       m < row.size(); ++m) {
+    row[m] = cd(0, 0);
   }
+  fft::real_inverse(plan_, row, out, arena);
 }
 
 void ShTransform::analysis(const Array2D<double>& grid,
@@ -77,20 +76,29 @@ void ShTransform::analysis(const Array2D<double>& grid,
                             static_cast<std::size_t>(nlat_));
   fourier_analysis(grid, fm);
 
+  // Quadrature by m column: each column is zeroed, then accumulates the
+  // latitudes in ascending order — per element the same sequence of adds
+  // as a latitude-outer loop. Index k pairs column k with column T - k so
+  // every index carries T + 2 coefficients and equal blocks balance.
   const simd::KernelTable& kt = simd::table();
-  for (auto& s : spec) s = cd(0, 0);
-  for (int j = 0; j < nlat_; ++j) {
-    const double w = 0.5 * nodes_.weight[static_cast<std::size_t>(j)];
-    for (int m = 0; m <= t; ++m) {
+  const auto accumulate = [&](int m) {
+    cd* scol = spec.data() + index().column_start(m);
+    const int len = index().column_length(m);
+    std::fill(scol, scol + len, cd(0, 0));
+    for (int j = 0; j < nlat_; ++j) {
+      const double w = 0.5 * nodes_.weight[static_cast<std::size_t>(j)];
       const cd g = w * fm[static_cast<std::size_t>(m) *
                               static_cast<std::size_t>(nlat_) +
                           static_cast<std::size_t>(j)];
-      const double* pcol = table_.p_column(j, m);
-      cd* scol = spec.data() + index().column_start(m);
-      const int len = index().column_length(m);
-      kt.axpy_cd_r(scol, g, pcol, len);
+      kt.axpy_cd_r(scol, g, table_.p_column(j, m), len);
     }
-  }
+  };
+  parallel_blocks(pool_, t / 2 + 1, [&](int, int lo, int hi) {
+    for (int k = lo; k < hi; ++k) {
+      accumulate(k);
+      if (t - k != k) accumulate(t - k);
+    }
+  });
   // The m = 0 column of a real field is real; clamp rounding residue.
   {
     cd* scol = spec.data() + index().column_start(0);
@@ -107,20 +115,25 @@ void ShTransform::synthesis(std::span<const cd> spec,
                "grid shape");
   NCAR_REQUIRE(static_cast<int>(spec.size()) == spec_size(), "spec size");
   const int t = truncation();
-  ArenaScope frame(arena_);
-  auto fm = arena_.take<cd>(static_cast<std::size_t>(t + 1) *
-                            static_cast<std::size_t>(nlat_));
   const simd::KernelTable& kt = simd::table();
-  for (int j = 0; j < nlat_; ++j) {
-    for (int m = 0; m <= t; ++m) {
-      const double* pcol = table_.p_column(j, m);
-      const cd* scol = spec.data() + index().column_start(m);
-      const int len = index().column_length(m);
-      fm[static_cast<std::size_t>(m) * static_cast<std::size_t>(nlat_) +
-         static_cast<std::size_t>(j)] = kt.dot_cd_r(scol, pcol, len);
+  parallel_blocks(pool_, nlat_, [&](int lane, int lo, int hi) {
+    Arena& arena = lane_arenas_[lane];
+    ArenaScope frame(arena);
+    auto row =
+        arena.take<cd>(static_cast<std::size_t>(fft::spectrum_size(nlon_)));
+    for (int j = lo; j < hi; ++j) {
+      for (int m = 0; m <= t; ++m) {
+        const double* pcol = table_.p_column(j, m);
+        const cd* scol = spec.data() + index().column_start(m);
+        const int len = index().column_length(m);
+        // F[m] = nlon * G_m.
+        row[static_cast<std::size_t>(m)] =
+            kt.dot_cd_r(scol, pcol, len) * static_cast<double>(nlon_);
+      }
+      fourier_synthesis_row(row, grid.column(static_cast<std::size_t>(j)),
+                            arena);
     }
-  }
-  fourier_synthesis(fm, grid);
+  });
 }
 
 void ShTransform::synthesis_gradient(std::span<const cd> spec,
@@ -128,29 +141,31 @@ void ShTransform::synthesis_gradient(std::span<const cd> spec,
                                      Array2D<double>& dmu) const {
   NCAR_REQUIRE(static_cast<int>(spec.size()) == spec_size(), "spec size");
   const int t = truncation();
-  ArenaScope frame(arena_);
-  const std::size_t plane =
-      static_cast<std::size_t>(t + 1) * static_cast<std::size_t>(nlat_);
-  auto fm_lam = arena_.take<cd>(plane);
-  auto fm_mu = arena_.take<cd>(plane);
   const simd::KernelTable& kt = simd::table();
-  for (int j = 0; j < nlat_; ++j) {
-    for (int m = 0; m <= t; ++m) {
-      const double* pcol = table_.p_column(j, m);
-      const double* dcol = table_.dp_column(j, m);
-      const cd* scol = spec.data() + index().column_start(m);
-      const int len = index().column_length(m);
-      cd acc_p(0, 0), acc_d(0, 0);
-      kt.dot2_cd_r(scol, pcol, dcol, len, &acc_p, &acc_d);
-      const std::size_t dst =
-          static_cast<std::size_t>(m) * static_cast<std::size_t>(nlat_) +
-          static_cast<std::size_t>(j);
-      fm_lam[dst] = cd(0, 1) * static_cast<double>(m) * acc_p;
-      fm_mu[dst] = acc_d;
+  parallel_blocks(pool_, nlat_, [&](int lane, int lo, int hi) {
+    Arena& arena = lane_arenas_[lane];
+    ArenaScope frame(arena);
+    const auto bins = static_cast<std::size_t>(fft::spectrum_size(nlon_));
+    auto row_lam = arena.take<cd>(bins);
+    auto row_mu = arena.take<cd>(bins);
+    for (int j = lo; j < hi; ++j) {
+      for (int m = 0; m <= t; ++m) {
+        const double* pcol = table_.p_column(j, m);
+        const double* dcol = table_.dp_column(j, m);
+        const cd* scol = spec.data() + index().column_start(m);
+        const int len = index().column_length(m);
+        cd acc_p(0, 0), acc_d(0, 0);
+        kt.dot2_cd_r(scol, pcol, dcol, len, &acc_p, &acc_d);
+        const auto mm = static_cast<std::size_t>(m);
+        row_lam[mm] = cd(0, 1) * static_cast<double>(m) * acc_p *
+                      static_cast<double>(nlon_);
+        row_mu[mm] = acc_d * static_cast<double>(nlon_);
+      }
+      const auto jj = static_cast<std::size_t>(j);
+      fourier_synthesis_row(row_lam, dlam.column(jj), arena);
+      fourier_synthesis_row(row_mu, dmu.column(jj), arena);
     }
-  }
-  fourier_synthesis(fm_lam, dlam);
-  fourier_synthesis(fm_mu, dmu);
+  });
 }
 
 void ShTransform::laplacian(std::span<cd> spec, double radius) const {

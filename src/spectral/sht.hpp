@@ -15,6 +15,7 @@
 
 #include "common/arena.hpp"
 #include "common/array.hpp"
+#include "common/thread_pool.hpp"
 #include "fft/complex_fft.hpp"
 #include "spectral/legendre.hpp"
 
@@ -38,6 +39,15 @@ public:
 
   /// Number of complex spectral coefficients.
   int spec_size() const { return index().size(); }
+
+  /// Split the transforms over the lanes of `pool` (nullptr: run inline):
+  /// the Legendre sums and longitude FFTs by latitude, the analysis
+  /// quadrature by m column. Each output element is still computed by one
+  /// lane with the same operations in the same order, so results are
+  /// bit-identical for every pool. Sizes one scratch arena per lane and
+  /// allocates only when the lane count grows; the pool must outlive every
+  /// transform run with it.
+  void set_thread_pool(ThreadPool* pool);
 
   /// Grid -> spectral. `grid` is (nlon, nlat) with longitude contiguous.
   void analysis(const Array2D<double>& grid, std::span<cd> spec) const;
@@ -64,17 +74,24 @@ private:
   /// Every entry of `fm` is written (callers pass uninitialised arena
   /// spans).
   void fourier_analysis(const Array2D<double>& grid, std::span<cd> fm) const;
-  void fourier_synthesis(std::span<const cd> fm, Array2D<double>& grid) const;
+  /// Inverse longitude FFT of one latitude's half spectrum: `row` holds
+  /// G_m * nlon for m <= T; the bins above T are zeroed here.
+  void fourier_synthesis_row(std::span<cd> row, std::span<double> out,
+                             Arena& arena) const;
 
   GaussNodes nodes_;
   LegendreTable table_;
   int nlat_;
   int nlon_;
   fft::Plan plan_;
-  // Workspace pool sized at construction so the transforms never allocate
-  // (mutable: taking scratch from the pool does not change observable
-  // state — every frame is released before the method returns).
+  ThreadPool* pool_ = nullptr;
+  // Workspace sized outside the transforms so they never allocate
+  // (mutable: taking scratch does not change observable state — every
+  // frame is released before the method returns). arena_ holds the
+  // analysis fm plane; lane_arenas_[lane] the Fourier rows and real-FFT
+  // scratch of one lane.
   mutable Arena arena_;
+  mutable LaneArenas lane_arenas_;
 };
 
 }  // namespace ncar::spectral

@@ -1,23 +1,12 @@
 #include "sxs/execution_policy.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "common/thread_pool.hpp"
 #include "simd/simd.hpp"
 
 namespace ncar::sxs {
-
-namespace {
-
-int hardware_threads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-}  // namespace
 
 ExecutionPolicy policy_from_env(const char* value) {
   if (value == nullptr || *value == '\0') return ExecutionPolicy::Threaded;
@@ -31,16 +20,6 @@ ExecutionPolicy policy_from_env(const char* value) {
     return ExecutionPolicy::Sequential;
   }
   return ExecutionPolicy::Threaded;
-}
-
-int threads_from_env(const char* value) {
-  if (value == nullptr || *value == '\0') return hardware_threads();
-  char* end = nullptr;
-  const long n = std::strtol(value, &end, 10);
-  if (end != value && *end == '\0') {
-    return static_cast<int>(std::clamp(n, 1L, 1024L));
-  }
-  return hardware_threads();
 }
 
 ExecutionPolicy default_execution_policy() {

@@ -26,10 +26,10 @@ enum class ExecutionPolicy {
 /// 0 or 1 → Sequential; larger values → Threaded with that many threads.
 ExecutionPolicy default_execution_policy();
 
-/// Pure parsing helpers (exposed for tests; `value` is the raw environment
-/// string, or nullptr when the variable is unset).
+/// Pure parsing helper (exposed for tests; `value` is the raw environment
+/// string, or nullptr when the variable is unset). The thread count comes
+/// from ThreadPool::threads_from_env.
 ExecutionPolicy policy_from_env(const char* value);
-int threads_from_env(const char* value);
 
 const char* to_string(ExecutionPolicy p);
 

@@ -65,6 +65,10 @@ ThreadPool& Node::pool() const {
   return pool_ != nullptr ? *pool_ : ThreadPool::global();
 }
 
+ThreadPool* Node::host_pool() const {
+  return policy_ == ExecutionPolicy::Threaded ? &pool() : nullptr;
+}
+
 double Node::parallel(int ncpu, const std::function<void(int, Cpu&)>& body) {
   NCAR_REQUIRE(ncpu >= 1 && ncpu <= cpu_count(),
                "parallel width exceeds node CPU count");

@@ -74,6 +74,13 @@ public:
   /// The pool must outlive every region run on this node.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
+  /// The pool that host numerics of the models on this node (Ccm2, Mom)
+  /// split their loops over, see parallel_blocks: under Threaded the pool
+  /// parallel() uses (the injected one when set, else ThreadPool::global());
+  /// under Sequential nullptr, so the numerics run inline. Every lane count
+  /// computes bit-identical model state.
+  ThreadPool* host_pool() const;
+
   /// Op-cost cache traffic summed over this node's CPUs (the caches are
   /// per-Cpu, see cpu.hpp). reset() leaves them running; they count the
   /// whole process lifetime, which is what the bench reporter records.

@@ -5,6 +5,8 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "spectral/gauss.hpp"
 
 namespace {
@@ -138,6 +140,27 @@ TEST_F(SltTest, ShapeMismatchThrows) {
   Array2D<double> q(kLon, kLat), small(8, 8), out(kLon, kLat);
   EXPECT_THROW(slt.advect(small, q, q, 100.0, out), ncar::precondition_error);
   EXPECT_THROW(slt.advect(q, q, q, -1.0, out), ncar::precondition_error);
+}
+
+TEST_F(SltTest, BitIdenticalForEveryPoolWidth) {
+  // Random winds send departure points across rows, so lanes read rows
+  // owned by other lanes; 32 latitudes do not split evenly 3 or 7 ways.
+  const auto q = blob();
+  Array2D<double> u(kLon, kLat), v(kLon, kLat);
+  Rng rng(7);
+  for (double& x : u.flat()) x = rng.uniform(-80, 80);
+  for (double& x : v.flat()) x = rng.uniform(-40, 40);
+  Array2D<double> ref(kLon, kLat);
+  slt.advect(q, u, v, 1200.0, ref);
+  for (int threads : {1, 2, 3, 4, 7}) {
+    ThreadPool pool(threads);
+    Array2D<double> out(kLon, kLat);
+    slt.advect(q, u, v, 1200.0, out, &pool);
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+      EXPECT_EQ(out.flat()[k], ref.flat()[k])
+          << "threads " << threads << " k=" << k;
+    }
+  }
 }
 
 }  // namespace

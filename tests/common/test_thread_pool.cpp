@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <vector>
@@ -89,6 +90,49 @@ TEST(ThreadPool, ReusableAcrossManyBatches) {
     pool.parallel_for(16, [&](int i) { total += i; });
   }
   EXPECT_EQ(total.load(), 200L * 16 * 15 / 2);
+}
+
+TEST(ThreadPool, ThreadCountParsing) {
+  const auto threads_from_env = &ThreadPool::threads_from_env;
+  EXPECT_EQ(threads_from_env("8"), 8);
+  EXPECT_EQ(threads_from_env("1"), 1);
+  EXPECT_EQ(threads_from_env("0"), 1);   // clamped
+  EXPECT_GE(threads_from_env(nullptr), 1);
+  EXPECT_GE(threads_from_env("nonsense"), 1);
+}
+
+TEST(ParallelBlocks, LanesCoverTheRangeInContiguousBlocks) {
+  for (int threads : {1, 2, 3, 4, 7}) {
+    ThreadPool pool(threads);
+    for (int n : {0, 1, 2, 5, 64, 171}) {
+      const int lanes = std::min(threads, n);
+      std::vector<std::atomic<int>> owner(static_cast<std::size_t>(n));
+      std::vector<std::atomic<int>> calls(static_cast<std::size_t>(threads));
+      for (auto& o : owner) o = -1;
+      ncar::parallel_blocks(&pool, n, [&](int lane, int lo, int hi) {
+        calls[static_cast<std::size_t>(lane)]++;
+        EXPECT_EQ(lo, static_cast<int>(static_cast<long>(n) * lane / lanes));
+        EXPECT_EQ(hi,
+                  static_cast<int>(static_cast<long>(n) * (lane + 1) / lanes));
+        for (int i = lo; i < hi; ++i) {
+          EXPECT_EQ(owner[static_cast<std::size_t>(i)].exchange(lane), -1);
+        }
+      });
+      for (const auto& o : owner) EXPECT_GE(o.load(), 0);
+      for (int l = 0; l < threads; ++l) {
+        EXPECT_EQ(calls[static_cast<std::size_t>(l)].load(), l < lanes ? 1 : 0)
+            << "threads " << threads << " n " << n << " lane " << l;
+      }
+    }
+  }
+}
+
+TEST(ParallelBlocks, NullPoolRunsOneInlineBlock) {
+  std::vector<int> seen;
+  ncar::parallel_blocks(nullptr, 9, [&](int lane, int lo, int hi) {
+    seen = {lane, lo, hi};
+  });
+  EXPECT_EQ(seen, (std::vector<int>{0, 0, 9}));
 }
 
 TEST(ThreadPool, GlobalPoolIsASingleton) {

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "ccm2/model.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -21,60 +25,108 @@ using sxs::Cpu;
 using sxs::ExecutionPolicy;
 using sxs::MachineConfig;
 
-TEST(PolicyDeterminism, Ccm2T42StepBitIdentical) {
+ccm2::Ccm2Config t42_config() {
   ccm2::Ccm2Config c;
   c.res = ccm2::t42l18();
   c.active_levels = 1;  // keep the host numerics cheap; charging is full-size
+  return c;
+}
 
-  ThreadPool pool(4);
-  sxs::Node node_seq(MachineConfig::sx4_benchmarked(),
-                     ExecutionPolicy::Sequential);
-  sxs::Node node_thr(MachineConfig::sx4_benchmarked(),
-                     ExecutionPolicy::Threaded);
-  node_thr.set_thread_pool(&pool);
+void expect_same_timing(const ccm2::StepTiming& ts,
+                        const ccm2::StepTiming& tt) {
+  EXPECT_EQ(ts.serial, tt.serial);
+  EXPECT_EQ(ts.spectral_local, tt.spectral_local);
+  EXPECT_EQ(ts.synthesis, tt.synthesis);
+  EXPECT_EQ(ts.ffts, tt.ffts);
+  EXPECT_EQ(ts.grid, tt.grid);
+  EXPECT_EQ(ts.analysis, tt.analysis);
+  EXPECT_EQ(ts.slt, tt.slt);
+  EXPECT_EQ(ts.physics, tt.physics);
+  EXPECT_EQ(ts.total, tt.total);
+}
 
-  ccm2::Ccm2 seq(c, node_seq);
-  ccm2::Ccm2 thr(c, node_thr);
+// The threaded node also splits the host numerics over its pool (see
+// Node::host_pool); 3 and 7 lanes leave uneven latitude blocks.
+TEST(PolicyDeterminism, Ccm2T42StepBitIdentical) {
+  const ccm2::Ccm2Config c = t42_config();
+  for (int threads : {3, 4, 7}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadPool pool(threads);
+    sxs::Node node_seq(MachineConfig::sx4_benchmarked(),
+                       ExecutionPolicy::Sequential);
+    sxs::Node node_thr(MachineConfig::sx4_benchmarked(),
+                       ExecutionPolicy::Threaded);
+    node_thr.set_thread_pool(&pool);
 
-  for (int step = 0; step < 2; ++step) {
-    const auto ts = seq.step(8);
-    const auto tt = thr.step(8);
-    EXPECT_EQ(ts.serial, tt.serial);
-    EXPECT_EQ(ts.spectral_local, tt.spectral_local);
-    EXPECT_EQ(ts.synthesis, tt.synthesis);
-    EXPECT_EQ(ts.ffts, tt.ffts);
-    EXPECT_EQ(ts.grid, tt.grid);
-    EXPECT_EQ(ts.analysis, tt.analysis);
-    EXPECT_EQ(ts.slt, tt.slt);
-    EXPECT_EQ(ts.physics, tt.physics);
-    EXPECT_EQ(ts.total, tt.total);
-  }
-  EXPECT_EQ(node_seq.elapsed_seconds(), node_thr.elapsed_seconds());
-  EXPECT_EQ(seq.checksum(), thr.checksum());
-  for (int i = 0; i < node_seq.cpu_count(); ++i) {
-    EXPECT_EQ(node_seq.cpu(i).cycles(), node_thr.cpu(i).cycles());
-    EXPECT_EQ(node_seq.cpu(i).equiv_flops(), node_thr.cpu(i).equiv_flops());
+    ccm2::Ccm2 seq(c, node_seq);
+    ccm2::Ccm2 thr(c, node_thr);
+
+    for (int step = 0; step < 2; ++step) {
+      expect_same_timing(seq.step(8), thr.step(8));
+    }
+    EXPECT_EQ(node_seq.elapsed_seconds(), node_thr.elapsed_seconds());
+    EXPECT_EQ(seq.checksum(), thr.checksum());
+    for (int i = 0; i < node_seq.cpu_count(); ++i) {
+      EXPECT_EQ(node_seq.cpu(i).cycles(), node_thr.cpu(i).cycles());
+      EXPECT_EQ(node_seq.cpu(i).equiv_flops(), node_thr.cpu(i).equiv_flops());
+    }
   }
 }
 
 TEST(PolicyDeterminism, MomStepBitIdentical) {
-  ThreadPool pool(4);
+  for (int threads : {3, 4, 7}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadPool pool(threads);
+    sxs::Node node_seq(MachineConfig::sx4_benchmarked(),
+                       ExecutionPolicy::Sequential);
+    sxs::Node node_thr(MachineConfig::sx4_benchmarked(),
+                       ExecutionPolicy::Threaded);
+    node_thr.set_thread_pool(&pool);
+
+    ocean::Mom seq(ocean::MomConfig::low_resolution(), node_seq);
+    ocean::Mom thr(ocean::MomConfig::low_resolution(), node_thr);
+
+    for (int step = 0; step < 2; ++step) {
+      EXPECT_EQ(seq.step(8), thr.step(8));
+    }
+    EXPECT_EQ(node_seq.elapsed_seconds(), node_thr.elapsed_seconds());
+    EXPECT_EQ(seq.mean_temperature(), thr.mean_temperature());
+    EXPECT_EQ(seq.checksum(), thr.checksum());
+    for (int i = 0; i < node_seq.cpu_count(); ++i) {
+      EXPECT_EQ(node_seq.cpu(i).cycles(), node_thr.cpu(i).cycles());
+    }
+  }
+}
+
+TEST(PolicyDeterminism, Ccm2StepNestedInPoolTaskBitIdentical) {
+  // Models stepped from inside a parallel_for body on the pool their nodes
+  // use: the nested fan-out must complete and match the sequential run.
+  const ccm2::Ccm2Config c = t42_config();
   sxs::Node node_seq(MachineConfig::sx4_benchmarked(),
                      ExecutionPolicy::Sequential);
-  sxs::Node node_thr(MachineConfig::sx4_benchmarked(),
-                     ExecutionPolicy::Threaded);
-  node_thr.set_thread_pool(&pool);
+  ccm2::Ccm2 seq(c, node_seq);
+  ccm2::StepTiming want[2];
+  for (auto& t : want) t = seq.step(8);
 
-  ocean::Mom seq(ocean::MomConfig::low_resolution(), node_seq);
-  ocean::Mom thr(ocean::MomConfig::low_resolution(), node_thr);
-
-  for (int step = 0; step < 2; ++step) {
-    EXPECT_EQ(seq.step(8), thr.step(8));
+  constexpr int kModels = 3;
+  ThreadPool pool(4);
+  std::vector<std::unique_ptr<sxs::Node>> nodes;
+  std::vector<std::unique_ptr<ccm2::Ccm2>> models;
+  for (int i = 0; i < kModels; ++i) {
+    nodes.push_back(std::make_unique<sxs::Node>(
+        MachineConfig::sx4_benchmarked(), ExecutionPolicy::Threaded));
+    nodes.back()->set_thread_pool(&pool);
+    models.push_back(std::make_unique<ccm2::Ccm2>(c, *nodes.back()));
   }
-  EXPECT_EQ(node_seq.elapsed_seconds(), node_thr.elapsed_seconds());
-  EXPECT_EQ(seq.mean_temperature(), thr.mean_temperature());
-  for (int i = 0; i < node_seq.cpu_count(); ++i) {
-    EXPECT_EQ(node_seq.cpu(i).cycles(), node_thr.cpu(i).cycles());
+  ccm2::StepTiming got[kModels][2];
+  pool.parallel_for(kModels, [&](int i) {
+    const auto k = static_cast<std::size_t>(i);
+    for (auto& t : got[k]) t = models[k]->step(8);
+  });
+  for (int i = 0; i < kModels; ++i) {
+    SCOPED_TRACE("model " + std::to_string(i));
+    for (int s = 0; s < 2; ++s) expect_same_timing(want[s], got[i][s]);
+    EXPECT_EQ(models[static_cast<std::size_t>(i)]->checksum(), seq.checksum());
   }
 }
 

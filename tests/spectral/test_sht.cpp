@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 
 namespace {
 
@@ -197,6 +198,70 @@ TEST(Sht, RejectsGridTooCoarseForTruncation) {
 TEST(Sht, TransformFlopsScaleWithResolution) {
   ShTransform t21(21, 32, 64), t42(42, 64, 128);
   EXPECT_GT(t42.transform_flops(), 6.0 * t21.transform_flops());
+}
+
+// --- lane invariance ----------------------------------------------------------
+// Every transform must give bit-identical output with no pool and with any
+// pool width, including widths that do not divide the latitude count and
+// widths above the number of m columns.
+
+struct ShtOutputs {
+  std::vector<cd> spec;
+  Array2D<double> grid, dlam, dmu;
+};
+
+ShtOutputs run_transforms(ShTransform& sht, ThreadPool* pool) {
+  sht.set_thread_pool(pool);
+  const auto nlon = static_cast<std::size_t>(sht.nlon());
+  const auto nlat = static_cast<std::size_t>(sht.nlat());
+  const auto s = random_spec(sht, 11);
+  ShtOutputs out{std::vector<cd>(s.size()), Array2D<double>(nlon, nlat),
+                 Array2D<double>(nlon, nlat), Array2D<double>(nlon, nlat)};
+  sht.synthesis(s, out.grid);
+  sht.synthesis_gradient(s, out.dlam, out.dmu);
+  // Analyse a field that is not band-limited so every column carries
+  // rounding residue.
+  Array2D<double> noisy(nlon, nlat);
+  Rng rng(12);
+  for (double& v : noisy.flat()) v = rng.uniform(-1, 1);
+  sht.analysis(noisy, out.spec);
+  return out;
+}
+
+void expect_bitwise_equal(const Array2D<double>& a, const Array2D<double>& b,
+                          const char* what) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(a.flat()[k], b.flat()[k]) << what << " k=" << k;
+  }
+}
+
+void expect_lane_invariant(int truncation, int nlat, int nlon) {
+  ShTransform sht(truncation, nlat, nlon);
+  const ShtOutputs ref = run_transforms(sht, nullptr);
+  for (int threads : {1, 2, 3, 4, 7}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadPool pool(threads);
+    const ShtOutputs got = run_transforms(sht, &pool);
+    ASSERT_EQ(got.spec.size(), ref.spec.size());
+    for (std::size_t k = 0; k < ref.spec.size(); ++k) {
+      EXPECT_EQ(got.spec[k].real(), ref.spec[k].real()) << "analysis k=" << k;
+      EXPECT_EQ(got.spec[k].imag(), ref.spec[k].imag()) << "analysis k=" << k;
+    }
+    expect_bitwise_equal(got.grid, ref.grid, "synthesis");
+    expect_bitwise_equal(got.dlam, ref.dlam, "synthesis_gradient dlam");
+    expect_bitwise_equal(got.dmu, ref.dmu, "synthesis_gradient dmu");
+  }
+}
+
+TEST(ShtLanes, T42BitIdenticalForEveryPoolWidth) {
+  // 64 latitudes split 7 ways leave uneven blocks.
+  expect_lane_invariant(42, 64, 128);
+}
+
+TEST(ShtLanes, FewerMColumnsThanLanesBitIdentical) {
+  // T3: four m columns (two quadrature pairs) and six latitudes.
+  expect_lane_invariant(3, 6, 12);
 }
 
 }  // namespace

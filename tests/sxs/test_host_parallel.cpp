@@ -230,15 +230,6 @@ TEST(ExecutionPolicyEnv, PolicyParsing) {
   EXPECT_EQ(policy_from_env("garbage"), ExecutionPolicy::Threaded);
 }
 
-TEST(ExecutionPolicyEnv, ThreadCountParsing) {
-  using ncar::sxs::threads_from_env;
-  EXPECT_EQ(threads_from_env("8"), 8);
-  EXPECT_EQ(threads_from_env("1"), 1);
-  EXPECT_EQ(threads_from_env("0"), 1);   // clamped
-  EXPECT_GE(threads_from_env(nullptr), 1);
-  EXPECT_GE(threads_from_env("nonsense"), 1);
-}
-
 TEST(ExecutionPolicyEnv, Names) {
   EXPECT_STREQ(ncar::sxs::to_string(ExecutionPolicy::Sequential),
                "sequential");
