@@ -9,6 +9,7 @@
 #include <iostream>
 #include <ostream>
 
+#include "common/error.hpp"
 #include "sxs/execution_policy.hpp"
 
 namespace ncar::bench {
@@ -73,7 +74,12 @@ BenchReporter::BenchReporter(std::string name, int argc, char** argv)
     }
   }
 
-  host_execution_ = sxs::host_execution_summary();
+  try {
+    host_execution_ = sxs::host_execution_summary();
+  } catch (const config_error& e) {
+    std::fprintf(stderr, "%s: %s\n", name_.c_str(), e.what());
+    std::exit(2);
+  }
   std::cout << "host execution: " << host_execution_ << "\n\n";
 }
 

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace ncar {
 
@@ -112,15 +117,20 @@ void ThreadPool::parallel_for(int n, const std::function<void(int)>& fn) {
 }
 
 int ThreadPool::threads_from_env(const char* value) {
-  if (value != nullptr) {
-    char* end = nullptr;
-    const long n = std::strtol(value, &end, 10);
-    if (end != value && *end == '\0') {
-      return static_cast<int>(std::clamp(n, 1L, 1024L));
-    }
+  if (value == nullptr || *value == '\0') {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? static_cast<int>(hw) : 1;
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  const char* const last = value + std::strlen(value);
+  int n = -1;
+  const auto [end, ec] = std::from_chars(value, last, n);
+  if (ec != std::errc() || end != last || n < 0 || n > 1024) {
+    throw config_error(std::string("SX4NCAR_HOST_THREADS=") + value +
+                       " is invalid: expected a decimal integer 0..1024 "
+                       "(0 and 1 run inline), or unset/empty for the "
+                       "hardware thread count");
+  }
+  return std::max(n, 1);
 }
 
 int ThreadPool::configured_host_threads() {

@@ -1,19 +1,19 @@
 #pragma once
-// A small fork-join host thread pool used to run simulated-CPU work bodies
-// concurrently on the host, plus parallel_blocks, which splits the host
-// numerics of the application models over the same pool.
+// A small fork-join host thread pool for the coarse host work — the points
+// of a design sweep — plus parallel_blocks, which splits the host numerics
+// of the application models over the same pool.
 //
 // The pool distributes the indices of a `parallel_for` through a shared
 // atomic counter, so idle threads steal whatever indices remain — a blocked
 // caller never waits on an *unclaimed* index, it claims and runs it itself.
-// That property makes nested `parallel_for` calls (a Machine region fanning
-// out per node, each node fanning out per rank) deadlock-free even with a
-// single host thread: every batch is fully driven by at least its initiating
-// thread.
+// That property makes nested calls (a pool task that steps a model, whose
+// numerics call parallel_blocks, or that runs a sweep, on the same pool)
+// deadlock-free even with a single host thread: every batch is fully driven
+// by at least its initiating thread.
 //
 // The pool moves *host* work around; it must never change *simulated*
 // results. Callers are responsible for handing it bodies whose side effects
-// are confined to per-index state (see Node::parallel).
+// are confined to per-index state (see parallel_blocks).
 
 #include <condition_variable>
 #include <deque>
@@ -51,13 +51,14 @@ public:
   /// threads on first use.
   static ThreadPool& global();
 
-  /// Host thread count from SX4NCAR_HOST_THREADS, falling back to
-  /// std::thread::hardware_concurrency() when unset or unparsable.
+  /// Host thread count from SX4NCAR_HOST_THREADS (see threads_from_env).
   static int configured_host_threads();
 
-  /// The parser behind configured_host_threads(): `value` is the raw
-  /// environment string, or nullptr when the variable is unset. Decimal
-  /// integers clamp to [1, 1024]; anything else means hardware width.
+  /// The only parser of SX4NCAR_HOST_THREADS: `value` is the raw
+  /// environment string, or nullptr when the variable is unset. Unset or
+  /// empty means std::thread::hardware_concurrency(); a decimal integer
+  /// 0..1024 is that many threads, 0 meaning 1 (inline). Anything else
+  /// throws ncar::config_error naming the variable and its accepted values.
   static int threads_from_env(const char* value);
 
 private:

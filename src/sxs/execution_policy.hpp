@@ -1,35 +1,28 @@
 #pragma once
-// How simulated-CPU work bodies are executed on the *host*.
+// Whether the host thread pool serves a node's models.
 //
-// Simulated timings are a pure function of the charged operations: each rank
-// charges cycles to its own Cpu, the contention factor is fixed before the
-// region starts, and the region time is a max-reduction over ranks. Running
-// rank bodies on host threads therefore changes wall-clock time only — the
-// simulated seconds, cycle counters, and flop currencies are bit-identical
-// under either policy (the determinism tests in tests/sxs and
-// tests/integration enforce this).
+// Parallel regions (Node::parallel, Machine::parallel) run their ranks
+// inline under either policy. The policy selects only whether the coarse
+// host work uses the pool: the CCM2/MOM numerics, through Node::host_pool()
+// and parallel_blocks, and the points of machines::run_sweep. Both split
+// their work so that every lane count computes bit-identical results; the
+// determinism tests in tests/sxs and tests/integration enforce this.
 
 #include <string>
 
 namespace ncar::sxs {
 
 enum class ExecutionPolicy {
-  /// Rank bodies run one after another on the calling host thread.
+  /// Model numerics and sweep points run on the calling host thread.
   Sequential,
-  /// Rank bodies are dispatched to the host thread pool; the caller
-  /// participates and blocks until the region completes.
+  /// Model numerics and sweep points are split over the host thread pool;
+  /// the caller participates and blocks until the work completes.
   Threaded,
 };
 
-/// Policy selected by the SX4NCAR_HOST_THREADS environment variable:
-/// unset → Threaded with hardware_concurrency host threads; a value of
-/// 0 or 1 → Sequential; larger values → Threaded with that many threads.
+/// Threaded when ThreadPool::configured_host_threads() (the single parser
+/// of SX4NCAR_HOST_THREADS) is above 1, else Sequential.
 ExecutionPolicy default_execution_policy();
-
-/// Pure parsing helper (exposed for tests; `value` is the raw environment
-/// string, or nullptr when the variable is unset). The thread count comes
-/// from ThreadPool::threads_from_env.
-ExecutionPolicy policy_from_env(const char* value);
 
 const char* to_string(ExecutionPolicy p);
 

@@ -3,16 +3,15 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 
 namespace ncar::sxs {
 
 Machine::Machine(const MachineConfig& cfg, ExecutionPolicy policy)
-    : cfg_(cfg), ixs_(cfg), policy_(policy) {
+    : cfg_(cfg), ixs_(cfg) {
   cfg_.validate();
   nodes_.reserve(static_cast<std::size_t>(cfg_.nodes));
   for (int i = 0; i < cfg_.nodes; ++i) {
-    nodes_.push_back(std::make_unique<Node>(cfg_, policy_));
+    nodes_.push_back(std::make_unique<Node>(cfg_, policy));
   }
 }
 
@@ -27,17 +26,11 @@ const Node& Machine::node(int i) const {
 }
 
 void Machine::set_execution_policy(ExecutionPolicy p) {
-  policy_ = p;
   for (auto& n : nodes_) n->set_execution_policy(p);
 }
 
 void Machine::set_thread_pool(ThreadPool* pool) {
-  pool_ = pool;
   for (auto& n : nodes_) n->set_thread_pool(pool);
-}
-
-ThreadPool& Machine::pool() const {
-  return pool_ != nullptr ? *pool_ : ThreadPool::global();
 }
 
 double Machine::parallel(int nodes_used, int cpus_per_node_used,
@@ -46,24 +39,14 @@ double Machine::parallel(int nodes_used, int cpus_per_node_used,
                "node count for the region");
   const double start = elapsed_seconds();
 
-  // Each task touches only its own node (clock, CPUs); times[n] is written
-  // by exactly one task. Nested rank fan-out inside Node::parallel shares
-  // the same pool, which supports that nesting without deadlock.
-  std::vector<double> times(static_cast<std::size_t>(nodes_used), 0.0);
-  const auto run_node = [&](int n) {
-    times[static_cast<std::size_t>(n)] = node(n).parallel(
-        cpus_per_node_used,
-        [&](int rank, Cpu& cpu) { body(n, rank, cpu); });
-  };
-
-  if (policy_ == ExecutionPolicy::Threaded && nodes_used > 1) {
-    pool().parallel_for(nodes_used, run_node);
-  } else {
-    for (int n = 0; n < nodes_used; ++n) run_node(n);
-  }
-
+  // Nodes run inline, in node order, each pricing its ranks in turn.
   double slowest = 0;
-  for (const double t : times) slowest = std::max(slowest, t);
+  for (int n = 0; n < nodes_used; ++n) {
+    slowest = std::max(
+        slowest, node(n).parallel(cpus_per_node_used, [&](int rank, Cpu& cpu) {
+          body(n, rank, cpu);
+        }));
+  }
 
   const double barrier =
       nodes_used > 1 ? ixs_.global_barrier_seconds(nodes_used).value() : 0.0;

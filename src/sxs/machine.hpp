@@ -37,10 +37,8 @@ public:
   /// IXS; all participating node clocks synchronise to the slowest node.
   /// Returns the region's simulated seconds.
   ///
-  /// Under ExecutionPolicy::Threaded, node regions are dispatched to the
-  /// host thread pool and each node's ranks fan out in turn (the pool
-  /// handles the nesting); simulated results are bit-identical to the
-  /// sequential policy.
+  /// Nodes run one after another, in node order, on the calling thread, each
+  /// running its ranks inline (see Node::parallel) under either policy.
   double parallel(int nodes_used, int cpus_per_node_used,
                   const std::function<void(int, int, Cpu&)>& body);
 
@@ -54,13 +52,12 @@ public:
   /// Seconds to move `bytes` through one IOP channel (section 2.4).
   Seconds iop_transfer_seconds(Bytes bytes) const;
 
-  /// Set the host execution policy for this machine and all its nodes.
+  /// Set the host execution policy of all this machine's nodes.
   void set_execution_policy(ExecutionPolicy p);
-  ExecutionPolicy execution_policy() const { return policy_; }
 
-  /// Use `pool` instead of ThreadPool::global() on this machine and all its
-  /// nodes (dependency injection for tests); nullptr restores the global
-  /// pool. The pool must outlive every region run on this machine.
+  /// Use `pool` instead of ThreadPool::global() as every node's host_pool()
+  /// (dependency injection for tests); nullptr restores the global pool.
+  /// The pool must outlive every model step run on this machine.
   void set_thread_pool(ThreadPool* pool);
 
   /// Global simulated wall clock: max over node clocks.
@@ -69,13 +66,9 @@ public:
   void reset();
 
 private:
-  ThreadPool& pool() const;
-
   MachineConfig cfg_;
   std::vector<std::unique_ptr<Node>> nodes_;
   Ixs ixs_;
-  ExecutionPolicy policy_;
-  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace ncar::sxs

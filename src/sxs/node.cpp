@@ -1,6 +1,7 @@
 #include "sxs/node.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -31,6 +32,7 @@ private:
 Node::Node(const MachineConfig& cfg, ExecutionPolicy policy)
     : cfg_(cfg), policy_(policy) {
   cfg_.validate();
+  delta_.resize(static_cast<std::size_t>(cfg_.cpus_per_node));
   cpus_.reserve(static_cast<std::size_t>(cfg_.cpus_per_node));
   for (int i = 0; i < cfg_.cpus_per_node; ++i) {
     cpus_.push_back(std::make_unique<Cpu>(cfg_));
@@ -61,12 +63,9 @@ double Node::barrier_seconds(int ncpu) const {
   return clocks * cfg_.seconds_per_clock();
 }
 
-ThreadPool& Node::pool() const {
-  return pool_ != nullptr ? *pool_ : ThreadPool::global();
-}
-
 ThreadPool* Node::host_pool() const {
-  return policy_ == ExecutionPolicy::Threaded ? &pool() : nullptr;
+  if (policy_ == ExecutionPolicy::Sequential) return nullptr;
+  return pool_ != nullptr ? pool_ : &ThreadPool::global();
 }
 
 double Node::parallel(int ncpu, const std::function<void(int, Cpu&)>& body) {
@@ -77,28 +76,20 @@ double Node::parallel(int ncpu, const std::function<void(int, Cpu&)>& body) {
   const double region_start_cycles =
       cfg_.to_cycles(Seconds(elapsed_)).value();
 
-  // Each rank touches only its own Cpu, so the bodies can run on host
-  // threads in any order; delta[rank] is written by exactly one rank.
-  std::vector<double> delta(static_cast<std::size_t>(ncpu), 0.0);
-  const auto run_rank = [&](int rank) {
+  // Ranks run inline, in rank order: each body is microseconds of cost
+  // pricing, far below the price of a host-pool dispatch.
+  for (int rank = 0; rank < ncpu; ++rank) {
     Cpu& c = *cpus_[static_cast<std::size_t>(rank)];
     const double before = c.cycles();
     // Align this rank's span track with the node wall clock.
     c.set_trace_time_offset(region_start_cycles - before);
     ContentionScope scope(c, contention);
     body(rank, c);
-    delta[static_cast<std::size_t>(rank)] = c.cycles() - before;
-  };
-
-  if (policy_ == ExecutionPolicy::Threaded && ncpu > 1) {
-    pool().parallel_for(ncpu, run_rank);
-  } else {
-    for (int rank = 0; rank < ncpu; ++rank) run_rank(rank);
+    delta_[static_cast<std::size_t>(rank)] = c.cycles() - before;
   }
+  const auto delta = std::span<const double>(delta_).first(
+      static_cast<std::size_t>(ncpu));
 
-  // The reduction runs in rank order on the calling thread, and max is
-  // insensitive to ordering anyway, so the region time is bit-identical
-  // under either execution policy.
   double max_delta = 0.0;
   for (const double d : delta) max_delta = std::max(max_delta, d);
 

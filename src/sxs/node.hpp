@@ -5,10 +5,10 @@
 //
 // The runtime accounts cycles per simulated CPU; the simulated elapsed time
 // of a parallel region is the maximum over participating CPUs plus the
-// barrier cost. On the *host*, rank bodies run either sequentially or on the
-// host thread pool (ExecutionPolicy); because every rank charges its own
-// Cpu and the region time is a max-reduction, the simulated result is
-// deterministic and bit-identical under either policy.
+// barrier cost. On the *host*, rank bodies run inline, in rank order, on the
+// calling thread: each is microseconds of cost pricing, less than one host
+// thread-pool dispatch. The host pool serves the models' numerics instead
+// (host_pool).
 
 #include <cstdint>
 #include <functional>
@@ -42,12 +42,11 @@ public:
   /// factor for `ncpu` active CPUs (plus any external load, see
   /// `set_external_active_cpus`).
   ///
-  /// Under ExecutionPolicy::Threaded the rank bodies run concurrently on
-  /// host threads. A body must confine its side effects to its own rank's
-  /// state (its Cpu, plus any rank-private or rank-partitioned host data) —
-  /// every body in this repository already does. If a body throws, the
-  /// lowest-throwing rank's exception propagates, every rank's contention
-  /// factor is restored to 1.0, and the node clock does not advance.
+  /// Under either ExecutionPolicy the rank bodies run one after another, in
+  /// rank order, on the calling thread. A body must not open a region on
+  /// this node. If a body throws, its exception propagates and no later
+  /// rank runs; every contention factor is restored to 1.0, and the node
+  /// clock does not advance.
   double parallel(int ncpu, const std::function<void(int, Cpu&)>& body);
 
   /// Run `body(cpu0)` serially on CPU 0; returns and advances by its time.
@@ -64,21 +63,21 @@ public:
   void set_external_active_cpus(int n);
   int external_active_cpus() const { return external_active_; }
 
-  /// How rank bodies are executed on the host. Never changes simulated
+  /// Whether host_pool() hands the models a pool. Never changes simulated
   /// results; see execution_policy.hpp.
   void set_execution_policy(ExecutionPolicy p) { policy_ = p; }
   ExecutionPolicy execution_policy() const { return policy_; }
 
-  /// Use `pool` instead of ThreadPool::global() for threaded regions
-  /// (dependency injection for tests); nullptr restores the global pool.
-  /// The pool must outlive every region run on this node.
+  /// Use `pool` instead of ThreadPool::global() as host_pool() under
+  /// Threaded (dependency injection for tests); nullptr restores the global
+  /// pool. The pool must outlive every model step run on this node.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// The pool that host numerics of the models on this node (Ccm2, Mom)
-  /// split their loops over, see parallel_blocks: under Threaded the pool
-  /// parallel() uses (the injected one when set, else ThreadPool::global());
-  /// under Sequential nullptr, so the numerics run inline. Every lane count
-  /// computes bit-identical model state.
+  /// split their loops over, see parallel_blocks: under Threaded the
+  /// injected pool when set, else ThreadPool::global(); under Sequential
+  /// nullptr, so the numerics run inline. Every lane count computes
+  /// bit-identical model state.
   ThreadPool* host_pool() const;
 
   /// Op-cost cache traffic summed over this node's CPUs (the caches are
@@ -105,10 +104,9 @@ public:
   void reset();
 
 private:
-  ThreadPool& pool() const;
-
   MachineConfig cfg_;
   std::vector<std::unique_ptr<Cpu>> cpus_;
+  std::vector<double> delta_;  // per-rank cycles of the current region
   trace::Collector runtime_trace_;
   double elapsed_ = 0;
   int external_active_ = 0;

@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "common/error.hpp"
 
 namespace {
 
@@ -42,9 +45,9 @@ TEST(ThreadPool, ZeroAndNegativeCountsAreNoOps) {
 }
 
 TEST(ThreadPool, NestedParallelForCompletes) {
-  // A Machine region fans out per node, each node per rank; the pool must
-  // support that nesting without deadlock even when every worker is busy
-  // with an outer task.
+  // A pool task steps a model whose numerics call parallel_blocks on the
+  // same pool; that nesting must complete without deadlock even when every
+  // worker is busy with an outer task.
   ThreadPool pool(3);
   const int outer = 8, inner = 64;
   std::vector<std::atomic<int>> sums(outer);
@@ -94,11 +97,26 @@ TEST(ThreadPool, ReusableAcrossManyBatches) {
 
 TEST(ThreadPool, ThreadCountParsing) {
   const auto threads_from_env = &ThreadPool::threads_from_env;
-  EXPECT_EQ(threads_from_env("8"), 8);
+  EXPECT_GE(threads_from_env(nullptr), 1);  // hardware width
+  EXPECT_EQ(threads_from_env(""), threads_from_env(nullptr));
+  EXPECT_EQ(threads_from_env("0"), 1);      // 0 and 1 run inline
   EXPECT_EQ(threads_from_env("1"), 1);
-  EXPECT_EQ(threads_from_env("0"), 1);   // clamped
-  EXPECT_GE(threads_from_env(nullptr), 1);
-  EXPECT_GE(threads_from_env("nonsense"), 1);
+  EXPECT_EQ(threads_from_env("2"), 2);
+  EXPECT_EQ(threads_from_env("8"), 8);
+  EXPECT_EQ(threads_from_env("64"), 64);
+  EXPECT_EQ(threads_from_env("1024"), 1024);
+  for (const char* bad : {"abc", "4x", "-3", "2000", "seq", "sequential",
+                          "threaded", "nonsense", " 4", "+4"}) {
+    SCOPED_TRACE(bad);
+    try {
+      threads_from_env(bad);
+      ADD_FAILURE() << "accepted";
+    } catch (const ncar::config_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("SX4NCAR_HOST_THREADS"), std::string::npos) << what;
+      EXPECT_NE(what.find("0..1024"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(ParallelBlocks, LanesCoverTheRangeInContiguousBlocks) {

@@ -1,7 +1,8 @@
-// Integration-level determinism of the host-parallel execution engine:
-// full application models (CCM2, MOM) and multi-node Machine regions must
-// produce bit-identical simulated results under the sequential and threaded
-// execution policies.
+// Integration-level determinism across execution policies: full
+// application models (CCM2, MOM), whose host numerics split over the pool
+// under the threaded policy, and multi-node Machine regions must produce
+// bit-identical simulated results under the sequential and threaded
+// policies.
 
 #include <gtest/gtest.h>
 
@@ -100,7 +101,8 @@ TEST(PolicyDeterminism, MomStepBitIdentical) {
 
 TEST(PolicyDeterminism, Ccm2StepNestedInPoolTaskBitIdentical) {
   // Models stepped from inside a parallel_for body on the pool their nodes
-  // use: the nested fan-out must complete and match the sequential run.
+  // use: their nested parallel_blocks calls must complete and match the
+  // sequential run.
   const ccm2::Ccm2Config c = t42_config();
   sxs::Node node_seq(MachineConfig::sx4_benchmarked(),
                      ExecutionPolicy::Sequential);

@@ -1,16 +1,24 @@
-// Determinism of the host-parallel execution engine: threaded and
-// sequential policies must produce bit-identical simulated results, and a
-// throwing rank body must leave the node in a clean state (contention
-// restored, later regions unaffected).
+// The parallel-region contract: under either execution policy every rank
+// body runs inline, in rank order, on the calling thread, so threaded and
+// sequential nodes produce bit-identical simulated results; and a throwing
+// rank body stops the region and leaves the node in a clean state
+// (contention restored, clock unmoved, later regions unaffected).
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "sxs/execution_policy.hpp"
+#include "sxs/machine.hpp"
 #include "sxs/machine_config.hpp"
 #include "sxs/node.hpp"
 
@@ -20,12 +28,12 @@ using ncar::Rng;
 using ncar::ThreadPool;
 using ncar::sxs::Cpu;
 using ncar::sxs::ExecutionPolicy;
+using ncar::sxs::Machine;
 using ncar::sxs::MachineConfig;
 using ncar::sxs::Node;
 
 // Charge a randomized mix of vector / scalar / intrinsic / raw operations.
-// Seeded per (region, rank), so the mix is identical no matter which host
-// thread runs the rank, or in what order.
+// Seeded per (region, rank), so the mix depends on nothing but its rank.
 void charge_random_mix(Cpu& cpu, std::uint64_t seed) {
   Rng rng(seed);
   const int ops = 3 + static_cast<int>(rng.next_below(6));
@@ -91,8 +99,8 @@ protected:
 
 TEST_P(HostParallelDeterminism, RandomMixesBitIdenticalAcrossPolicies) {
   const int ncpu = GetParam();
-  // A dedicated pool with real workers, so the threaded path is exercised
-  // even on single-core hosts (where the global pool has no workers).
+  // A pool with real workers, even on single-core hosts (where the global
+  // pool has none): regions must not hand their ranks to it.
   ThreadPool pool(4);
   Node seq(cfg, ExecutionPolicy::Sequential);
   Node thr(cfg, ExecutionPolicy::Threaded);
@@ -214,20 +222,126 @@ INSTANTIATE_TEST_SUITE_P(Policies, ThrowingPolicy,
                          ::testing::Values(ExecutionPolicy::Sequential,
                                            ExecutionPolicy::Threaded));
 
+// --- the inline region contract ---------------------------------------------
+
+TEST(HostParallel, RanksRunInlineInRankOrderUnderThreadedPolicy) {
+  ThreadPool pool(4);
+  Node node(MachineConfig::sx4_benchmarked(), ExecutionPolicy::Threaded);
+  node.set_thread_pool(&pool);
+  std::vector<int> order;
+  std::vector<std::thread::id> threads;
+  node.parallel(32, [&](int rank, Cpu& cpu) {
+    order.push_back(rank);
+    threads.push_back(std::this_thread::get_id());
+    charge_random_mix(cpu, static_cast<std::uint64_t>(rank));
+  });
+  ASSERT_EQ(order.size(), 32u);
+  for (int rank = 0; rank < 32; ++rank) {
+    EXPECT_EQ(order[static_cast<std::size_t>(rank)], rank);
+    EXPECT_EQ(threads[static_cast<std::size_t>(rank)],
+              std::this_thread::get_id())
+        << "rank " << rank;
+  }
+}
+
+TEST(HostParallel, ThrowingRankStopsTheRegionUnderThreadedPolicy) {
+  ThreadPool pool(4);
+  Node node(MachineConfig::sx4_benchmarked(), ExecutionPolicy::Threaded);
+  node.set_thread_pool(&pool);
+  node.set_external_active_cpus(4);  // so region contention is > 1
+  std::vector<int> ran;
+  try {
+    node.parallel(16, [&](int rank, Cpu& cpu) {
+      ran.push_back(rank);
+      charge_random_mix(cpu, static_cast<std::uint64_t>(rank));
+      if (rank == 5 || rank == 11) {
+        throw std::runtime_error("rank " + std::to_string(rank));
+      }
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 5");
+  }
+  EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  for (int i = 0; i < node.cpu_count(); ++i) {
+    EXPECT_EQ(node.cpu(i).contention(), 1.0) << "cpu " << i;
+  }
+  EXPECT_EQ(node.elapsed_seconds(), 0.0);
+}
+
+TEST(HostParallel, MachineVisitsNodesInOrderOnTheCallingThread) {
+  ThreadPool pool(4);
+  Machine machine(MachineConfig::sx4_multinode(4), ExecutionPolicy::Threaded);
+  machine.set_thread_pool(&pool);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::pair<int, int>> order;
+  bool all_inline = true;
+  machine.parallel(4, 8, [&](int n, int rank, Cpu& cpu) {
+    order.emplace_back(n, rank);
+    all_inline &= std::this_thread::get_id() == caller;
+    charge_random_mix(cpu, 31ull * static_cast<std::uint64_t>(n) +
+                               static_cast<std::uint64_t>(rank));
+  });
+  std::vector<std::pair<int, int>> want;
+  for (int n = 0; n < 4; ++n) {
+    for (int rank = 0; rank < 8; ++rank) want.emplace_back(n, rank);
+  }
+  EXPECT_EQ(order, want);
+  EXPECT_TRUE(all_inline);
+}
+
 // --- SX4NCAR_HOST_THREADS parsing -------------------------------------------
 
+// Sets SX4NCAR_HOST_THREADS (nullptr unsets it) for one scope and restores
+// the previous value afterwards.
+class ScopedHostThreadsEnv {
+public:
+  explicit ScopedHostThreadsEnv(const char* value) {
+    if (const char* old = std::getenv(kName)) saved_ = old;
+    set(value);
+  }
+  ~ScopedHostThreadsEnv() { set(saved_ ? saved_->c_str() : nullptr); }
+  ScopedHostThreadsEnv(const ScopedHostThreadsEnv&) = delete;
+  ScopedHostThreadsEnv& operator=(const ScopedHostThreadsEnv&) = delete;
+
+private:
+  static constexpr const char* kName = "SX4NCAR_HOST_THREADS";
+  static void set(const char* value) {
+    if (value == nullptr) {
+      ::unsetenv(kName);
+    } else {
+      ::setenv(kName, value, 1);
+    }
+  }
+  std::optional<std::string> saved_;
+};
+
 TEST(ExecutionPolicyEnv, PolicyParsing) {
-  using ncar::sxs::policy_from_env;
-  EXPECT_EQ(policy_from_env(nullptr), ExecutionPolicy::Threaded);
-  EXPECT_EQ(policy_from_env(""), ExecutionPolicy::Threaded);
-  EXPECT_EQ(policy_from_env("0"), ExecutionPolicy::Sequential);
-  EXPECT_EQ(policy_from_env("1"), ExecutionPolicy::Sequential);
-  EXPECT_EQ(policy_from_env("2"), ExecutionPolicy::Threaded);
-  EXPECT_EQ(policy_from_env("64"), ExecutionPolicy::Threaded);
-  EXPECT_EQ(policy_from_env("seq"), ExecutionPolicy::Sequential);
-  EXPECT_EQ(policy_from_env("sequential"), ExecutionPolicy::Sequential);
-  EXPECT_EQ(policy_from_env("threaded"), ExecutionPolicy::Threaded);
-  EXPECT_EQ(policy_from_env("garbage"), ExecutionPolicy::Threaded);
+  using ncar::sxs::default_execution_policy;
+  const ExecutionPolicy hardware =
+      ThreadPool::threads_from_env(nullptr) > 1 ? ExecutionPolicy::Threaded
+                                                : ExecutionPolicy::Sequential;
+  {
+    ScopedHostThreadsEnv env(nullptr);
+    EXPECT_EQ(default_execution_policy(), hardware);
+  }
+  {
+    ScopedHostThreadsEnv env("");
+    EXPECT_EQ(default_execution_policy(), hardware);
+  }
+  for (const char* seq : {"0", "1"}) {
+    ScopedHostThreadsEnv env(seq);
+    EXPECT_EQ(default_execution_policy(), ExecutionPolicy::Sequential) << seq;
+  }
+  for (const char* thr : {"2", "64"}) {
+    ScopedHostThreadsEnv env(thr);
+    EXPECT_EQ(default_execution_policy(), ExecutionPolicy::Threaded) << thr;
+  }
+  // Policy names are not thread counts: the single parser rejects them.
+  for (const char* bad : {"seq", "sequential", "threaded", "garbage"}) {
+    ScopedHostThreadsEnv env(bad);
+    EXPECT_THROW(default_execution_policy(), ncar::config_error) << bad;
+  }
 }
 
 TEST(ExecutionPolicyEnv, Names) {
