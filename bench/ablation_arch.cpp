@@ -150,7 +150,6 @@ int main(int argc, char** argv) {
     model.charge_sustained_equiv_gflops(32, 1);
     bench::print_attribution(std::cout, node);
     bench::report_attribution(rep, "ablation", node);
-    bench::write_chrome_trace_file(rep.trace_path(), node);
     stream.finish(rep);
   }
 

@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
   // Attribution covers the two measured T170 steps on the single node.
   bench::print_attribution(std::cout, node);
   bench::report_attribution(rep, "ablation_ixs", node);
-  bench::write_chrome_trace_file(rep.trace_path(), node);
   stream.finish(rep);
   return rep.finish(std::cout);
 }

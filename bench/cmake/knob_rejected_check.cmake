@@ -1,0 +1,41 @@
+# Rejection check for a malformed runtime knob.
+#
+# Each SX4NCAR_* knob a bench main reads has one strict parser that throws
+# ncar::config_error on a value it does not know; BenchReporter turns that
+# into exit 2 with a message naming the knob. This runs BENCH_BIN with
+# KNOB=VALUE and passes only when the run exits non-zero and its output
+# names the knob.
+#
+# Required -D variables: BENCH_BIN, BENCH_NAME, OUT_DIR, KNOB, VALUE.
+
+foreach(var BENCH_BIN BENCH_NAME OUT_DIR KNOB VALUE)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "knob_rejected_check: ${var} not set")
+  endif()
+endforeach()
+
+file(MAKE_DIRECTORY ${OUT_DIR})
+
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env
+    ${KNOB}=${VALUE}
+    SX4NCAR_BENCH_FULL=
+    ${BENCH_BIN} --deterministic
+      --json ${OUT_DIR}/${BENCH_NAME}.${KNOB}.json
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE stdout
+  ERROR_VARIABLE stderr)
+
+if(rc EQUAL 0)
+  message(FATAL_ERROR
+    "${BENCH_NAME} accepted ${KNOB}=${VALUE} (exit 0):\n"
+    "${stdout}\n${stderr}")
+endif()
+string(FIND "${stdout}${stderr}" "${KNOB}" named)
+if(named EQUAL -1)
+  message(FATAL_ERROR
+    "${BENCH_NAME} rejected ${KNOB}=${VALUE} (exit ${rc}) without naming "
+    "the knob:\n${stdout}\n${stderr}")
+endif()
+
+message(STATUS "${BENCH_NAME}: ${KNOB}=${VALUE} rejected (exit ${rc})")

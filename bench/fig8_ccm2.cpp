@@ -91,10 +91,10 @@ int main(int argc, char** argv) {
   // clears the collectors with the cycle counters. No-op when tracing is off.
   bench::print_attribution(std::cout, node);
   bench::report_attribution(rep, "fig8", node);
-  if (bench::write_chrome_trace_file(rep.trace_path(), node)) {
-    std::printf("chrome trace: %s\n", rep.trace_path().c_str());
-  }
   if (stream.finish(rep)) {
+    if (trace::mode() == trace::Mode::Full) {
+      std::printf("chrome trace: %s\n", rep.trace_path().c_str());
+    }
     std::printf("stream trace: %s\n", rep.aux_path("trace.sxt").c_str());
   }
   return rep.finish(std::cout);

@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "sxs/execution_policy.hpp"
+#include "trace/category.hpp"
 
 namespace ncar::bench {
 
@@ -74,8 +75,11 @@ BenchReporter::BenchReporter(std::string name, int argc, char** argv)
     }
   }
 
+  // The knob parsers are strict: a malformed SX4NCAR_HOST_THREADS,
+  // SX4NCAR_SIMD or SX4NCAR_TRACE stops the run here, naming the knob.
   try {
     host_execution_ = sxs::host_execution_summary();
+    (void)trace::mode();
   } catch (const config_error& e) {
     std::fprintf(stderr, "%s: %s\n", name_.c_str(), e.what());
     std::exit(2);

@@ -1,8 +1,6 @@
 #include "harness/trace_report.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <vector>
@@ -13,6 +11,7 @@
 #include "trace/attribution.hpp"
 #include "trace/category.hpp"
 #include "trace/chrome_trace.hpp"
+#include "trace/stream/reader.hpp"
 
 namespace ncar::bench {
 
@@ -47,24 +46,6 @@ void report_cpu_and_runtime(BenchReporter& rep, const std::string& prefix,
   report_rows(rep, prefix + ".attribution.node",
               trace::build_attribution(runtime), "seconds",
               /*fractions=*/false);
-  // Span buffers can saturate (SX4NCAR_TRACE_MAX_SPANS) or a stream sink
-  // can drop; surface the counts instead of letting a truncated trace
-  // read as a short run. Only span-recording modes can truncate, so
-  // summary-mode output stays unchanged.
-  if (trace::spans_enabled(trace::mode())) {
-    double dropped = 0.0;
-    double max_spans = 0.0;
-    for (const trace::Collector* c : cpus) {
-      dropped += static_cast<double>(c->dropped_spans());
-      max_spans = std::max(max_spans, static_cast<double>(c->max_spans()));
-    }
-    for (const trace::Collector* c : runtime) {
-      dropped += static_cast<double>(c->dropped_spans());
-      max_spans = std::max(max_spans, static_cast<double>(c->max_spans()));
-    }
-    rep.metric(prefix + ".trace.dropped_spans", dropped);
-    rep.metric(prefix + ".trace.max_spans", max_spans);
-  }
 }
 
 void print_rows(std::ostream& os, const trace::Attribution& attr,
@@ -86,29 +67,14 @@ void print_rows(std::ostream& os, const trace::Attribution& attr,
   os << line << "\n";
 }
 
-bool write_tracks(const std::string& path,
-                  const std::vector<trace::TraceTrack>& tracks) {
-  if (trace::mode() != trace::Mode::Full) return false;
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::filesystem::create_directories(p.parent_path());
-  }
-  std::ofstream out(path);
+/// Convert the finished .sxt at `sxt_path` to Chrome JSON at `json_path`.
+bool write_chrome_json(const std::string& sxt_path,
+                       const std::string& json_path) {
+  const trace::stream::SxtFile file = trace::stream::read_sxt_file(sxt_path);
+  std::ofstream out(json_path, std::ios::binary);
   if (!out) return false;
-  trace::write_chrome_trace(out, tracks);
+  trace::write_chrome_trace(out, file);
   return out.good();
-}
-
-void append_node_tracks(std::vector<trace::TraceTrack>& tracks,
-                        const sxs::Node& node, int pid,
-                        const std::string& process_name) {
-  tracks.push_back({&node.runtime_trace(), pid, 0, process_name, "runtime"});
-  for (int i = 0; i < node.cpu_count(); ++i) {
-    const trace::Collector& c = node.cpu(i).trace();
-    if (c.spans().empty()) continue;
-    tracks.push_back(
-        {&c, pid, i + 1, process_name, "cpu" + std::to_string(i)});
-  }
 }
 
 }  // namespace
@@ -143,47 +109,26 @@ void report_attribution(BenchReporter& rep, const std::string& prefix,
               unit, /*fractions=*/true);
 }
 
-bool write_chrome_trace_file(const std::string& path, const sxs::Node& node) {
-  std::vector<trace::TraceTrack> tracks;
-  append_node_tracks(tracks, node, 0, "node0");
-  return write_tracks(path, tracks);
-}
-
-bool write_chrome_trace_file(const std::string& path,
-                             const sxs::Machine& machine) {
-  std::vector<trace::TraceTrack> tracks;
-  for (int n = 0; n < machine.node_count(); ++n) {
-    append_node_tracks(tracks, machine.node(n), n,
-                       "node" + std::to_string(n));
-  }
-  return write_tracks(path, tracks);
-}
-
-bool write_chrome_trace_file(const std::string& path, const sxs::Node& node,
-                             const trace::Collector& extra_track,
-                             const std::string& extra_name) {
-  std::vector<trace::TraceTrack> tracks;
-  append_node_tracks(tracks, node, 0, "node0");
-  tracks.push_back({&extra_track, 1, 0, extra_name, extra_name});
-  return write_tracks(path, tracks);
-}
-
 void print_attribution(std::ostream& os, const sxs::Node& node) {
   if (trace::mode() == trace::Mode::Off) return;
   print_rows(os, trace::build_attribution(cpu_tracks(node)), "cycles");
 }
 
-StreamTrace::StreamTrace(const std::string& path, sxs::Node& node) {
-  if (trace::mode() != trace::Mode::Stream) return;
+bool StreamTrace::open(const std::string& path) {
+  const trace::Mode m = trace::mode();
+  if (!trace::spans_enabled(m)) return false;
   writer_ = trace::stream::Writer::open(path);
-  if (writer_ == nullptr) return;
+  chrome_ = m == trace::Mode::Full;
+  return writer_ != nullptr;
+}
+
+StreamTrace::StreamTrace(const std::string& path, sxs::Node& node) {
+  if (!open(path)) return;
   attach_node(node, 0, "node0");
 }
 
 StreamTrace::StreamTrace(const std::string& path, sxs::Machine& machine) {
-  if (trace::mode() != trace::Mode::Stream) return;
-  writer_ = trace::stream::Writer::open(path);
-  if (writer_ == nullptr) return;
+  if (!open(path)) return;
   for (int n = 0; n < machine.node_count(); ++n) {
     attach_node(machine.node(n), n, "node" + std::to_string(n));
   }
@@ -192,9 +137,7 @@ StreamTrace::StreamTrace(const std::string& path, sxs::Machine& machine) {
 StreamTrace::StreamTrace(const std::string& path, sxs::Node& node,
                          trace::Collector& extra_track,
                          const std::string& extra_name) {
-  if (trace::mode() != trace::Mode::Stream) return;
-  writer_ = trace::stream::Writer::open(path);
-  if (writer_ == nullptr) return;
+  if (!open(path)) return;
   attach_node(node, 0, "node0");
   trace::stream::Writer::TrackSpec spec;
   spec.pid = 1;
@@ -211,9 +154,8 @@ StreamTrace::~StreamTrace() {
 
 void StreamTrace::attach_node(sxs::Node& node, int pid,
                               const std::string& process_name) {
-  // Track order and identity mirror append_node_tracks exactly: runtime
-  // first on tid 0, then cpu i on tid i+1 with the Full-mode exporter's
-  // skip-empty-CPU-track rule carried as a footer flag.
+  // Runtime first on tid 0, then cpu i on tid i+1 with the Chrome
+  // exporter's skip-empty-CPU-track rule carried as a footer flag.
   trace::stream::Writer::TrackSpec spec;
   spec.pid = pid;
   spec.tid = 0;
@@ -232,7 +174,6 @@ void StreamTrace::attach(trace::Collector& collector,
                          const trace::stream::Writer::TrackSpec& spec) {
   trace::stream::Writer::TrackSpec full = spec;
   full.seconds_per_tick = collector.seconds_per_tick();
-  full.max_spans = collector.max_spans();
   collector.set_stream_sink(&writer_->add_track(full));
   attached_.push_back(&collector);
 }
@@ -241,7 +182,8 @@ bool StreamTrace::finish(BenchReporter& rep) {
   if (!active()) return false;
   for (trace::Collector* c : attached_) c->set_stream_sink(nullptr);
   attached_.clear();
-  const bool ok = writer_->finalize();
+  bool ok = writer_->finalize();
+  if (ok && chrome_) ok = write_chrome_json(writer_->path(), rep.trace_path());
   const trace::stream::Writer::Stats& st = writer_->stats();
   const std::string prefix = rep.name() + ".trace_stream";
   const double events = static_cast<double>(st.events);

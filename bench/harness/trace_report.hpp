@@ -1,7 +1,8 @@
 #pragma once
 // Bench-side glue for the src/trace subsystem: fold a run's collectors into
-// attribution metrics on the BenchReporter, and (in SX4NCAR_TRACE=full mode)
-// write a Chrome trace_event JSON next to the result file.
+// attribution metrics on the BenchReporter, and (in SX4NCAR_TRACE=stream
+// and =full mode) stream the run's spans to a .sxt file next to the result
+// file — which full mode then converts to a Chrome trace_event JSON.
 //
 // Every function here is a no-op when SX4NCAR_TRACE is off, so a bench that
 // adopts it emits byte-identical result JSON to the committed baselines in
@@ -49,35 +50,27 @@ void report_attribution(BenchReporter& rep, const std::string& prefix,
                         const trace::Collector& track,
                         const std::string& unit = "seconds");
 
-/// Write a Chrome trace_event JSON (one pid per node, one tid per CPU plus
-/// a runtime-overhead thread) to `path`. Returns true if written; false —
-/// without touching the filesystem — unless SX4NCAR_TRACE=full. Extra
-/// standalone tracks (I/O, scheduler) can be appended as their own pid via
-/// the three-argument overload.
-bool write_chrome_trace_file(const std::string& path, const sxs::Node& node);
-bool write_chrome_trace_file(const std::string& path,
-                             const sxs::Machine& machine);
-bool write_chrome_trace_file(const std::string& path, const sxs::Node& node,
-                             const trace::Collector& extra_track,
-                             const std::string& extra_name);
-
 /// Print the per-CPU attribution table as aligned text (category, cycles,
 /// percent) — the human-readable companion of the JSON metrics. No-op when
 /// tracing is off.
 void print_attribution(std::ostream& os, const sxs::Node& node);
 void print_attribution(std::ostream& os, const sxs::Machine& machine);
 
-/// RAII session for SX4NCAR_TRACE=stream: opens a .sxt writer at `path`
-/// and wires every collector of the node/machine (plus an optional
-/// standalone track, mirroring the write_chrome_trace_file overloads) to
-/// a per-track streaming sink. Inactive — every method a no-op, nothing
-/// touched on disk — in any other mode, so benches construct one
-/// unconditionally.
+/// RAII session for the span-recording modes (SX4NCAR_TRACE=stream and
+/// =full): opens a .sxt writer at `path` and wires every collector of the
+/// node/machine (plus an optional standalone track, e.g. the scheduler, as
+/// its own pid) to a per-track streaming sink. Track layout: one pid per
+/// node, the runtime-overhead track on tid 0, cpu i on tid i+1 (omitted
+/// from the Chrome trace when it recorded no spans). Inactive — every
+/// method a no-op, nothing touched on disk — in any other mode, so benches
+/// construct one unconditionally.
 ///
 /// Call finish(rep) after the run: it detaches the sinks, finalises the
-/// file, and lands `<bench>.trace_stream.{events,bytes,bytes_per_event,
-/// dropped}` on the reporter. The destructor detaches and finalises too
-/// (without metrics) if finish was never reached.
+/// file, in full mode converts it to rep.trace_path() (Chrome trace_event
+/// JSON, the same bytes `sxtrace convert` writes), and lands
+/// `<bench>.trace_stream.{events,bytes,bytes_per_event,dropped}` on the
+/// reporter. The destructor detaches and finalises too (without metrics
+/// or conversion) if finish was never reached.
 class StreamTrace {
 public:
   StreamTrace(const std::string& path, sxs::Node& node);
@@ -88,11 +81,13 @@ public:
   StreamTrace(const StreamTrace&) = delete;
   StreamTrace& operator=(const StreamTrace&) = delete;
 
-  /// True when a writer is open (mode was Stream and the file created).
+  /// True when a writer is open (mode was Stream or Full and the file
+  /// created).
   bool active() const { return writer_ != nullptr; }
 
-  /// Finalise the .sxt and report the trace_stream metrics. Returns true
-  /// when a file was written successfully.
+  /// Finalise the .sxt (and in full mode write the Chrome JSON), then
+  /// report the trace_stream metrics. Returns true when every file was
+  /// written successfully.
   bool finish(BenchReporter& rep);
 
 private:
@@ -100,8 +95,12 @@ private:
   void attach(trace::Collector& collector,
               const trace::stream::Writer::TrackSpec& spec);
 
+  /// Open the writer when the mode records spans.
+  bool open(const std::string& path);
+
   std::vector<trace::Collector*> attached_;
   std::unique_ptr<trace::stream::Writer> writer_;
+  bool chrome_ = false;  ///< Mode::Full: convert to Chrome JSON at finish
 };
 
 }  // namespace ncar::bench

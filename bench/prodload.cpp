@@ -145,8 +145,6 @@ int main(int argc, char** argv) {
   bench::print_attribution(std::cout, node);
   bench::report_attribution(rep, "prodload", node);
   bench::report_attribution(rep, "prodload.scheduler", sched_trace, "seconds");
-  bench::write_chrome_trace_file(rep.trace_path(), node, sched_trace,
-                                 "scheduler");
   stream.finish(rep);
   return rep.finish(std::cout);
 }

@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
   // Attribution covers the T63L18 measurement (last node.reset()).
   bench::print_attribution(std::cout, node);
   bench::report_attribution(rep, "table5", node);
-  bench::write_chrome_trace_file(rep.trace_path(), node);
   stream.finish(rep);
   return rep.finish(std::cout);
 }

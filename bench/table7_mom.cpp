@@ -88,7 +88,6 @@ int main(int argc, char** argv) {
   // Attribution covers the last sweep point (32 CPUs, charge replay).
   bench::print_attribution(std::cout, node);
   bench::report_attribution(rep, "table7", node);
-  bench::write_chrome_trace_file(rep.trace_path(), node);
   stream.finish(rep);
   return rep.finish(std::cout);
 }

@@ -3,7 +3,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
+#include "common/error.hpp"
 #include "simd/simd.hpp"
 
 namespace ncar::simd {
@@ -101,10 +103,13 @@ Backend best_supported() {
 }
 
 Backend backend_from_env(const char* value) {
+  if (value == nullptr || *value == '\0') return best_supported();
   Backend parsed = Backend::Scalar;
   bool is_auto = false;
-  if (!backend_from_string(value, parsed, is_auto) || is_auto) {
-    return best_supported();
+  if (!backend_from_string(value, parsed, is_auto)) {
+    throw config_error(std::string("SX4NCAR_SIMD=") + value +
+                       " is invalid: expected scalar, sse42, avx2, avx512 "
+                       "or auto (unset/empty means auto)");
   }
   return supported(parsed) ? parsed : best_supported();
 }

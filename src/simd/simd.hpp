@@ -17,9 +17,10 @@
 // libstdc++ naive formula term by term (IEEE + and * are commutative
 // bitwise). Remainder lanes fall back to the scalar reference code.
 //
-// Selection: SX4NCAR_SIMD=scalar|sse42|avx2|avx512|auto (default auto = best
-// supported). Forcing a backend the CPU cannot run falls back to the best
-// supported one; supported() lets callers (tests, CI probes) check first.
+// Selection: SX4NCAR_SIMD=scalar|sse42|avx2|avx512|auto (unset/empty = auto
+// = best supported; any other value is a config_error). Forcing a backend
+// the CPU cannot run falls back to the best supported one; supported() lets
+// callers (tests, CI probes) check first.
 
 #include <complex>
 
@@ -123,7 +124,8 @@ bool supported(Backend b);
 /// The most capable supported backend.
 Backend best_supported();
 
-/// The active backend (initialised from SX4NCAR_SIMD on first use).
+/// The active backend (initialised from SX4NCAR_SIMD on first use; throws
+/// ncar::config_error, again on every call, while the value is malformed).
 Backend active();
 
 /// Force a backend; unsupported requests clamp to best_supported().
@@ -137,8 +139,10 @@ const KernelTable& table();
 /// unsupported) — the property battery compares these pairwise.
 const KernelTable& table_for(Backend b);
 
-/// Pure parse of an SX4NCAR_SIMD value (nullptr/empty/"auto"/unknown ->
-/// best_supported). Exposed for tests.
+/// The one parser of SX4NCAR_SIMD: nullptr/empty/"auto" -> best_supported,
+/// a known backend -> itself, clamped to best_supported when the host
+/// cannot run it; any other value throws ncar::config_error naming the
+/// knob and the accepted values.
 Backend backend_from_env(const char* value);
 
 // Per-ISA tables (internal wiring; null when the translation unit was built

@@ -3,6 +3,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace ncar::trace {
 
@@ -42,10 +45,12 @@ bool category_from_string(const char* name, Category& out) {
 
 Mode mode_from_env(const char* value) {
   if (value == nullptr || *value == '\0') return Mode::Off;
-  if (std::strcmp(value, "summary") == 0) return Mode::Summary;
-  if (std::strcmp(value, "full") == 0) return Mode::Full;
-  if (std::strcmp(value, "stream") == 0) return Mode::Stream;
-  return Mode::Off;
+  for (const Mode m : {Mode::Off, Mode::Summary, Mode::Full, Mode::Stream}) {
+    if (std::strcmp(value, to_string(m)) == 0) return m;
+  }
+  throw config_error(std::string("SX4NCAR_TRACE=") + value +
+                     " is invalid: expected off, summary, full or stream "
+                     "(unset/empty means off)");
 }
 
 namespace {

@@ -81,22 +81,25 @@ constexpr bool is_charged_category(Category c) {
 enum class Mode : std::uint8_t {
   Off,      ///< aggregate counters only, nothing exported
   Summary,  ///< + refined splits and attribution tables in bench JSON
-  Full,     ///< + per-span buffers and Chrome trace export
+  Full,     ///< Stream, then the .sxt converted to Chrome trace JSON
   Stream,   ///< + spans streamed to a binary .sxt sink (trace/stream/)
 };
 
-/// True when the current mode records spans at all — Full keeps them in the
-/// Collector's in-memory buffer, Stream forwards them to the attached
-/// binary sink. Summary/Off record counters only.
+/// True when the current mode records spans at all: Full and Stream both
+/// forward them to the Collector's attached binary sink. Summary/Off
+/// record counters only.
 constexpr bool spans_enabled(Mode m) {
   return m == Mode::Full || m == Mode::Stream;
 }
 
-/// Pure parse of the SX4NCAR_TRACE value ("off" | "summary" | "full" |
-/// "stream"; unset/empty/unknown -> Off). Exposed for tests.
+/// The one parser of SX4NCAR_TRACE: "off" | "summary" | "full" |
+/// "stream", or unset/empty for Off. Any other value throws
+/// ncar::config_error naming the knob and the accepted values.
 Mode mode_from_env(const char* value);
 
-/// Process-wide tracing mode: initialised from SX4NCAR_TRACE on first use.
+/// Process-wide tracing mode: initialised from SX4NCAR_TRACE on first use
+/// (throws ncar::config_error, again on every call, while the value is
+/// malformed).
 Mode mode();
 
 /// Override the process-wide mode (tests and bench mains).

@@ -6,6 +6,8 @@
 #include <ostream>
 #include <string_view>
 
+#include "trace/category.hpp"
+
 namespace ncar::trace {
 
 std::string format_double(double v) {
@@ -50,45 +52,47 @@ void write_metadata(std::ostream& os, const char* kind, int pid, int tid,
   os << "}}";
 }
 
+bool exported(const stream::TrackData& t) {
+  return !(t.skip_if_empty && t.spans.empty());
+}
+
 }  // namespace
 
-void write_chrome_trace(std::ostream& os,
-                        std::span<const TraceTrack> tracks) {
+void write_chrome_trace(std::ostream& os, const stream::SxtFile& file) {
   os << "{\"traceEvents\":[\n";
   bool first = true;
 
   // Metadata: one process_name per distinct pid (first track wins), one
-  // thread_name per track, plus a truncation marker on any track whose
-  // collector had to drop spans — a trace that silently lost its tail
-  // would otherwise read as a short run.
+  // thread_name per track, plus the drop marker.
   int last_named_pid = -1;
-  for (const TraceTrack& t : tracks) {
+  for (const stream::TrackData& t : file.tracks) {
+    if (!exported(t)) continue;
     if (t.pid != last_named_pid) {
       write_metadata(os, "process_name", t.pid, 0, t.process_name, first);
       last_named_pid = t.pid;
     }
     write_metadata(os, "thread_name", t.pid, t.tid, t.thread_name, first);
-    if (t.collector->dropped_spans() > 0) {
+    if (t.dropped > 0) {
       if (!first) os << ",\n";
       first = false;
       os << R"({"name":"trace_dropped_spans","ph":"M","pid":)" << t.pid
-         << R"(,"tid":)" << t.tid << R"(,"args":{"dropped":)"
-         << t.collector->dropped_spans() << R"(,"max_spans":)"
-         << t.collector->max_spans() << "}}";
+         << R"(,"tid":)" << t.tid << R"(,"args":{"dropped":)" << t.dropped
+         << "}}";
     }
   }
 
-  for (const TraceTrack& t : tracks) {
-    const double to_us = t.collector->seconds_per_tick() * 1e6;
-    for (const Span& s : t.collector->spans()) {
+  for (const stream::TrackData& t : file.tracks) {
+    if (!exported(t)) continue;
+    const double to_us = t.seconds_per_tick * 1e6;
+    for (const stream::RawRecord& r : t.spans) {
       if (!first) os << ",\n";
       first = false;
       os << R"({"name":)";
-      write_escaped(os, s.tag);
-      os << R"(,"cat":")" << to_string(s.category) << R"(","ph":"X","ts":)"
-         << format_double(s.start * to_us) << R"(,"dur":)"
-         << format_double(s.duration * to_us) << R"(,"pid":)" << t.pid
-         << R"(,"tid":)" << t.tid << '}';
+      write_escaped(os, t.tags[r.tag]);
+      os << R"(,"cat":")" << to_string(static_cast<Category>(r.category))
+         << R"(","ph":"X","ts":)" << format_double(r.start * to_us)
+         << R"(,"dur":)" << format_double(r.duration * to_us)
+         << R"(,"pid":)" << t.pid << R"(,"tid":)" << t.tid << '}';
     }
   }
   os << "\n]}\n";

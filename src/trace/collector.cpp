@@ -1,54 +1,15 @@
 #include "trace/collector.hpp"
 
-#include <cstdlib>
-
 #include "trace/stream/sink.hpp"
 
 namespace ncar::trace {
 
-namespace {
-
-std::size_t default_max_spans() {
-  static const std::size_t value = [] {
-    if (const char* env = std::getenv("SX4NCAR_TRACE_MAX_SPANS")) {
-      char* end = nullptr;
-      const long long parsed = std::strtoll(env, &end, 10);
-      if (end != env && *end == '\0' && parsed > 0) {
-        return static_cast<std::size_t>(parsed);
-      }
-    }
-    return static_cast<std::size_t>(65536);
-  }();
-  return value;
-}
-
-}  // namespace
-
-Collector::Collector(double seconds_per_tick, std::size_t max_spans)
-    : seconds_per_tick_(seconds_per_tick),
-      max_spans_(max_spans != 0 ? max_spans : default_max_spans()) {}
-
 void Collector::span(Category c, double start, double ticks,
                      const char* tag) {
-  const Mode m = mode();
-  if (!spans_enabled(m)) return;
+  if (stream_ == nullptr) return;
   if (ticks <= 0) return;  // zero-width boxes only clutter the timeline
-  if (m == Mode::Stream) {
-    // Streamed spans never touch the in-memory buffer: bounded memory is
-    // the sink ring's job, and its drop counter stands in for ours.
-    if (stream_ != nullptr) {
-      stream_->record(c, start, ticks, tag);
-    } else {
-      ++dropped_;
-    }
-    return;
-  }
-  if (spans_.size() >= max_spans_) {
-    ++dropped_;
-    return;
-  }
-  if (spans_.capacity() == 0) spans_.reserve(max_spans_);
-  spans_.push_back(Span{start, ticks, c, tag});
+  if (!spans_enabled(mode())) return;
+  stream_->record(c, start, ticks, tag);
 }
 
 void Collector::add(Category c, double start, double ticks,
@@ -71,8 +32,6 @@ const char* Collector::intern(std::string_view name) {
 void Collector::reset() {
   total_ = 0;
   for (double& c : category_) c = 0;
-  spans_.clear();
-  dropped_ = 0;
   if (stream_ != nullptr) stream_->on_reset();
 }
 

@@ -1,5 +1,5 @@
 #pragma once
-// Per-track span and cycle-attribution collector.
+// Per-track cycle-attribution collector.
 //
 // One Collector instance backs one timeline track: a simulated Cpu, a node's
 // runtime (barriers, idle, IXS waits), an I/O device clock, or the PRODLOAD
@@ -9,25 +9,23 @@
 // synchronisation and is bit-identical under sequential and threaded host
 // execution.
 //
-// Two recording tiers, selected by trace::mode():
+// Two recording tiers:
 //   * aggregation counters (per-category tick totals plus a chronological
 //     track total) are ALWAYS maintained — the off-mode cost is a couple of
 //     double additions per charge;
-//   * the span buffer ({start, duration, category, tag}) fills only in
-//     Mode::Full. It is preallocated up front (SX4NCAR_TRACE_MAX_SPANS,
-//     default 65536 per track) and appends until full; overflow increments
-//     dropped_spans() instead of reallocating mid-region.
+//   * spans ({start, duration, category, tag}) are never stored here: in
+//     Mode::Full and Mode::Stream they go to an attached streaming sink
+//     (trace/stream/sink.hpp), the one path by which a span leaves a
+//     Collector. With no sink attached, span() does nothing.
 //
 // Ticks are the owner's native time unit (cycles for Cpu/node tracks,
 // seconds for device clocks); seconds_per_tick() declares the conversion so
 // exporters can place every track on one microsecond timeline.
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "trace/category.hpp"
 
@@ -37,20 +35,12 @@ namespace stream {
 class TrackSink;
 }  // namespace stream
 
-struct Span {
-  double start = 0;     ///< track-local time, in the owner's ticks
-  double duration = 0;  ///< ticks
-  Category category = Category::Other;
-  const char* tag = "";  ///< static string or Collector::intern result
-};
-
 class Collector {
 public:
   /// `seconds_per_tick` converts this track's native unit to seconds
   /// (a Cpu passes its clock period; device clocks pass 1.0).
-  /// `max_spans` == 0 selects the SX4NCAR_TRACE_MAX_SPANS default.
-  explicit Collector(double seconds_per_tick = 1.0,
-                     std::size_t max_spans = 0);
+  explicit Collector(double seconds_per_tick = 1.0)
+      : seconds_per_tick_(seconds_per_tick) {}
 
   // --- counters (always on) ----------------------------------------------
   /// Accumulate onto the chronological track total. Cpu mirrors every
@@ -63,15 +53,13 @@ public:
   }
 
   // --- spans (Mode::Full and Mode::Stream) -------------------------------
-  /// Record a span: appended to the in-memory buffer in Mode::Full (while
-  /// it has room), forwarded to the attached streaming sink in
-  /// Mode::Stream (dropped and counted when none is attached).
+  /// Forward a span to the attached streaming sink when the mode records
+  /// spans; a no-op with no sink attached or a non-positive duration.
   void span(Category c, double start, double ticks, const char* tag);
 
-  /// Attach/detach the Mode::Stream destination. The sink must outlive
-  /// every span() call that can see it; pass nullptr to detach.
+  /// Attach/detach the span destination. The sink must outlive every
+  /// span() call that can see it; pass nullptr to detach.
   void set_stream_sink(stream::TrackSink* sink) { stream_ = sink; }
-  stream::TrackSink* stream_sink() const { return stream_; }
 
   /// Convenience for simple tracks: total + category counter + span.
   void add(Category c, double start, double ticks, const char* tag);
@@ -81,37 +69,21 @@ public:
   double category_ticks(Category c) const {
     return category_[static_cast<std::size_t>(c)];
   }
-  const std::vector<Span>& spans() const { return spans_; }
-  std::uint64_t dropped_spans() const { return dropped_; }
   double seconds_per_tick() const { return seconds_per_tick_; }
-  std::size_t max_spans() const { return max_spans_; }
 
   /// Copy `name` into collector-owned stable storage (span tags outlive the
   /// strings they were built from; deque elements never move).
   const char* intern(std::string_view name);
 
-  /// Zero counters and drop recorded spans (capacity and interned tags are
-  /// kept — they are evaluator details, like the op-cost caches). An
-  /// attached streaming sink starts a new epoch.
+  /// Zero the counters (interned tags are kept — they are evaluator
+  /// details, like the op-cost caches). An attached streaming sink starts
+  /// a new epoch, so spans recorded before the reset are not exported.
   void reset();
-
-  // --- offline reconstruction (sxtrace converter) ------------------------
-  /// Append a span unconditionally, bypassing mode and capacity checks.
-  /// Only the .sxt converter uses this, to rebuild a Collector whose span
-  /// buffer is bit-identical to the live run's.
-  void restore_span(Category c, double start, double ticks, const char* tag) {
-    spans_.push_back(Span{start, ticks, c, tag});
-  }
-  /// Companion to restore_span: reinstate the recorded drop count.
-  void restore_dropped_spans(std::uint64_t dropped) { dropped_ = dropped; }
 
 private:
   double seconds_per_tick_;
-  std::size_t max_spans_;
   double total_ = 0;
   double category_[kCategoryCount] = {};
-  std::vector<Span> spans_;
-  std::uint64_t dropped_ = 0;
   stream::TrackSink* stream_ = nullptr;
   std::deque<std::string> interned_;
 };

@@ -1,10 +1,10 @@
 #pragma once
-// The .sxt binary streaming trace format, version 1.
+// The .sxt binary streaming trace format, version 2.
 //
 // One file = one traced run. Layout (all integers are LEB128 varints from
 // varint.hpp unless noted; byte order of fixed fields is little-endian):
 //
-//   [header]   magic "SXT1" (4 bytes), u32 version = 1, u64 reserved = 0
+//   [header]   magic "SXT1" (4 bytes), u32 version = 2, u64 reserved = 0
 //   [chunk]*   a 0x01 marker byte, then
 //                varint track_id      index into the footer's track table
 //                varint epoch         Collector::reset generation; only the
@@ -27,7 +27,6 @@
 //                varint final_epoch
 //                varint live_records  records in the final epoch
 //                varint dropped       spans the sink had to discard
-//                varint max_spans     the Collector's configured span cap
 //                varint tag_count, then per tag: varint len + bytes
 //              then varint total_chunks, varint total_records (all
 //              epochs), varint total_payload_bytes
@@ -51,13 +50,13 @@
 //
 // Versioning and forward compatibility: the header version is bumped on
 // any layout change; readers reject versions they do not know
-// ("sxt: unsupported version") rather than guessing. Unknown footer flag
-// bits are reserved-zero in v1 and readers must ignore them. Drop
-// semantics: a sink that cannot hand records to the writer (no writer
-// attached, or the file write failed) counts the span in `dropped`
-// instead of blocking the charge path; converted traces surface the count
-// as Chrome metadata, exactly like the in-memory exporter does for
-// SX4NCAR_TRACE_MAX_SPANS saturation.
+// ("sxt: unsupported version") rather than guessing. Version 2 dropped
+// version 1's per-track max_spans footer varint (the span cap of an
+// in-memory buffer that no longer exists). Unknown footer flag bits are
+// reserved-zero and readers must ignore them. Drop semantics: a sink
+// whose chunk handoff fails (the file write failed) counts the spans in
+// `dropped` instead of blocking the charge path; the Chrome exporter
+// surfaces the count as a trace_dropped_spans metadata event.
 
 #include <cstddef>
 #include <cstdint>
@@ -71,7 +70,7 @@ static_assert(kCategoryCount <= 16,
 
 inline constexpr char kMagic[4] = {'S', 'X', 'T', '1'};
 inline constexpr char kTrailer[4] = {'S', 'X', 'T', 'E'};
-inline constexpr std::uint32_t kVersion = 1;
+inline constexpr std::uint32_t kVersion = 2;
 
 inline constexpr std::uint8_t kChunkMarker = 0x01;
 inline constexpr std::uint8_t kEndMarker = 0x00;

@@ -1,5 +1,5 @@
 #pragma once
-// Reader — offline parser for .sxt files (format.hpp, version 1).
+// Reader — offline parser for .sxt files (format.hpp, version 2).
 //
 // Strict by design: any structural damage — truncation, a bad marker, a
 // corrupt entropy stream, a record count that disagrees with the footer —
@@ -33,7 +33,6 @@ struct TrackData {
   bool skip_if_empty = false;
   std::uint64_t final_epoch = 0;
   std::uint64_t dropped = 0;
-  std::uint64_t max_spans = 0;
   std::vector<std::string> tags;
   std::vector<RawRecord> spans;
 };

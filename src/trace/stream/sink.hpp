@@ -1,8 +1,9 @@
 #pragma once
 // TrackSink — the per-track (per-CPU) staging ring of the streaming sink.
 //
-// One TrackSink backs one Collector in SX4NCAR_TRACE=stream mode, under
-// the same single-writer discipline: only the rank that owns the Cpu
+// One TrackSink backs one Collector in SX4NCAR_TRACE=full and =stream
+// mode — it is the only way a span leaves a Collector — under the same
+// single-writer discipline: only the rank that owns the Cpu
 // touches its sink, so record() needs no synchronisation. The ring is a
 // fixed preallocated array of RawRecords; the per-span path writes one
 // slot and bumps a counter — no allocation, no branching on file state.
@@ -15,12 +16,11 @@
 // Epochs mirror Collector::reset: resetting a collector abandons its
 // pending ring and bumps the sink's epoch, so chunks written before the
 // reset become dead weight that Writer::finalize compacts away — the
-// converted trace shows exactly what the in-memory exporter would have
-// shown (spans since the last reset).
+// converted trace shows the spans since the last reset.
 //
-// Drops are counted, never blocking: when no writer is attached or a file
-// write has failed, the span is discarded and dropped() grows, exactly
-// like the in-memory buffer saturating at SX4NCAR_TRACE_MAX_SPANS.
+// Drops are counted, never blocking: when a file write has failed (or the
+// writer is already finalised), the chunk's spans are discarded and
+// dropped() grows.
 
 #include <array>
 #include <cstddef>

@@ -1,9 +1,9 @@
 #include "trace/stream/writer.hpp"
 
 #include <bit>
-#include <cstdlib>
 #include <filesystem>
 
+#include "common/error.hpp"
 #include "trace/stream/entropy.hpp"
 #include "trace/stream/format.hpp"
 #include "trace/stream/varint.hpp"
@@ -11,28 +11,6 @@
 namespace ncar::trace::stream {
 
 namespace {
-
-constexpr std::size_t kDefaultChunkRecords = 4096;
-constexpr std::size_t kMinChunkRecords = 16;
-constexpr std::size_t kMaxChunkRecords = 1u << 20;
-
-std::size_t chunk_records_from_env() {
-  const char* env = std::getenv("SX4NCAR_TRACE_STREAM_CHUNK");
-  if (env == nullptr || *env == '\0') return kDefaultChunkRecords;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') return kDefaultChunkRecords;
-  if (v < kMinChunkRecords) return kMinChunkRecords;
-  if (v > kMaxChunkRecords) return kMaxChunkRecords;
-  return static_cast<std::size_t>(v);
-}
-
-bool pack_from_env() {
-  const char* env = std::getenv("SX4NCAR_TRACE_STREAM_PACK");
-  if (env == nullptr || *env == '\0') return true;
-  const std::string v(env);
-  return !(v == "0" || v == "off" || v == "false");
-}
 
 void append_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   std::uint8_t scratch[kMaxVarintBytes];
@@ -54,6 +32,7 @@ void append_u64_le(std::vector<std::uint8_t>& out, std::uint64_t v) {
 }  // namespace
 
 std::unique_ptr<Writer> Writer::open(const std::string& path, Options opt) {
+  NCAR_REQUIRE(opt.chunk_records > 0, "trace stream chunk size");
   namespace fs = std::filesystem;
   std::error_code ec;
   const fs::path p(path);
@@ -63,11 +42,8 @@ std::unique_ptr<Writer> Writer::open(const std::string& path, Options opt) {
                               std::ios::trunc);
   if (!file.is_open()) return nullptr;
 
-  const std::size_t chunk_records =
-      opt.chunk_records != 0 ? opt.chunk_records : chunk_records_from_env();
-  const bool pack = opt.pack >= 0 ? opt.pack != 0 : pack_from_env();
   return std::unique_ptr<Writer>(
-      new Writer(path, std::move(file), chunk_records, pack));
+      new Writer(path, std::move(file), opt.chunk_records, opt.pack));
 }
 
 Writer::Writer(const std::string& path, std::fstream file,
@@ -244,7 +220,6 @@ bool Writer::finalize() {
     append_varint(tail, sink.epoch());
     append_varint(tail, sink.live_records());
     append_varint(tail, sink.dropped());
-    append_varint(tail, spec.max_spans);
     append_varint(tail, sink.tags().size());
     for (const std::string& tag : sink.tags()) append_string(tail, tag);
     stats_.events += sink.live_records();

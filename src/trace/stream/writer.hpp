@@ -5,8 +5,8 @@
 // chunks as their rings fill (append_chunk, mutex-serialised); finalize()
 // flushes the partial rings, then rewrites the chunk stream in one pass:
 // chunks from dead epochs (spans recorded before the last
-// Collector::reset, which the in-memory exporter would not have shown
-// either) are dropped, and survivors are entropy-packed. Packing at
+// Collector::reset, which the exported trace does not show) are dropped,
+// and survivors are entropy-packed. Packing at
 // finalize rather than on the charge path keeps the in-run cost to the
 // stage-1 encode and never spends coder time on records a reset is about
 // to discard. The file on disk is a valid chunk stream at all times
@@ -27,8 +27,8 @@ namespace ncar::trace::stream {
 
 class Writer {
 public:
-  /// Track identity as it lands in the footer; mirrors harness
-  /// TraceTrack so the converter can rebuild the exporter's inputs.
+  /// Track identity as it lands in the footer: the pid/tid, names and
+  /// time unit the Chrome exporter places the track's spans under.
   struct TrackSpec {
     int pid = 0;
     int tid = 0;
@@ -36,12 +36,11 @@ public:
     std::string thread_name;
     double seconds_per_tick = 1.0;
     bool skip_if_empty = false;  ///< empty-CPU-track rule of the exporter
-    std::uint64_t max_spans = 0;
   };
 
   struct Options {
-    std::size_t chunk_records = 0;  ///< 0: SX4NCAR_TRACE_STREAM_CHUNK / 4096
-    int pack = -1;                  ///< -1: SX4NCAR_TRACE_STREAM_PACK / on
+    std::size_t chunk_records = 4096;  ///< ring size: records per chunk
+    bool pack = true;                  ///< entropy-pack chunks at finalize
   };
 
   struct Stats {
@@ -73,7 +72,6 @@ public:
   /// Valid after finalize().
   const Stats& stats() const { return stats_; }
   const std::string& path() const { return path_; }
-  std::size_t chunk_records() const { return chunk_records_; }
 
 private:
   friend class TrackSink;

@@ -6,6 +6,8 @@
 
 #include <string>
 
+#include "common/error.hpp"
+
 namespace {
 
 using ncar::simd::Backend;
@@ -55,8 +57,31 @@ TEST(SimdDispatch, EnvParseFallsBackToBestSupported) {
   EXPECT_EQ(simd::backend_from_env(nullptr), simd::best_supported());
   EXPECT_EQ(simd::backend_from_env(""), simd::best_supported());
   EXPECT_EQ(simd::backend_from_env("auto"), simd::best_supported());
-  EXPECT_EQ(simd::backend_from_env("bogus"), simd::best_supported());
   EXPECT_EQ(simd::backend_from_env("scalar"), Backend::Scalar);
+  // A known backend the host cannot run clamps instead of failing.
+  for (int i = 0; i < simd::kBackendCount; ++i) {
+    const auto b = static_cast<Backend>(i);
+    EXPECT_EQ(simd::backend_from_env(simd::to_string(b)),
+              simd::supported(b) ? b : simd::best_supported())
+        << simd::to_string(b);
+  }
+}
+
+TEST(SimdDispatch, EnvParseRejectsUnknownValues) {
+  for (const char* bad : {"bogus", "neon", "avx3", "AVX2", "avx2 "}) {
+    try {
+      simd::backend_from_env(bad);
+      ADD_FAILURE() << "SX4NCAR_SIMD=" << bad << " was accepted";
+    } catch (const ncar::config_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("SX4NCAR_SIMD=") + bad),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("scalar, sse42, avx2, avx512 or auto"),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(SimdDispatch, ScalarIsAlwaysSupported) {

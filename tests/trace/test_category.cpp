@@ -6,6 +6,8 @@
 #include <set>
 #include <string>
 
+#include "common/error.hpp"
+
 namespace {
 
 using namespace ncar;
@@ -60,7 +62,21 @@ TEST(Mode, ParsesEnvValues) {
   EXPECT_EQ(trace::mode_from_env("off"), Mode::Off);
   EXPECT_EQ(trace::mode_from_env("summary"), Mode::Summary);
   EXPECT_EQ(trace::mode_from_env("full"), Mode::Full);
-  EXPECT_EQ(trace::mode_from_env("bogus"), Mode::Off);
+  EXPECT_EQ(trace::mode_from_env("stream"), Mode::Stream);
+  // Anything else is an error that names the knob and its values.
+  for (const char* bad : {"bogus", "ful", "FULL", "on", " full"}) {
+    try {
+      trace::mode_from_env(bad);
+      ADD_FAILURE() << "SX4NCAR_TRACE=" << bad << " was accepted";
+    } catch (const config_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("SX4NCAR_TRACE=") + bad),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("off, summary, full or stream"), std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(Mode, SetModeOverrides) {

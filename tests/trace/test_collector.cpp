@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "trace/category.hpp"
+#include "trace/stream/reader.hpp"
+#include "trace/stream/writer.hpp"
 
 namespace {
 
@@ -12,6 +15,8 @@ using namespace ncar;
 using trace::Category;
 using trace::Collector;
 using trace::Mode;
+using trace::stream::TrackSink;
+using trace::stream::Writer;
 
 /// Pin the tracing mode for one test, restoring the previous mode on exit.
 class ModeGuard {
@@ -35,8 +40,25 @@ TEST(Collector, CountersAccumulatePerCategory) {
   EXPECT_DOUBLE_EQ(c.category_ticks(Category::Other), 0.0);
 }
 
-TEST(Collector, SpansRecordOnlyInFullMode) {
+/// A one-track .sxt writer to attach a Collector to.
+struct Sink {
+  explicit Sink(const char* name)
+      : path(::testing::TempDir() + name),
+        writer(Writer::open(path)),
+        track(writer->add_track({})) {}
+  std::string path;
+  std::unique_ptr<Writer> writer;
+  TrackSink& track;
+};
+
+TEST(Collector, SpansReachTheSinkOnlyInSpanModes) {
   Collector c;
+  {
+    ModeGuard g(Mode::Full);
+    c.span(Category::VectorAdd, 0.0, 5.0, "no sink");  // a no-op
+  }
+  Sink sink("collector_modes.sxt");
+  c.set_stream_sink(&sink.track);
   {
     ModeGuard g(Mode::Off);
     c.span(Category::VectorAdd, 0.0, 5.0, "off");
@@ -45,44 +67,51 @@ TEST(Collector, SpansRecordOnlyInFullMode) {
     ModeGuard g(Mode::Summary);
     c.span(Category::VectorAdd, 0.0, 5.0, "summary");
   }
-  EXPECT_TRUE(c.spans().empty());
+  EXPECT_EQ(sink.track.live_records(), 0u);
   {
     ModeGuard g(Mode::Full);
     c.span(Category::VectorAdd, 3.0, 5.0, "full");
   }
-  ASSERT_EQ(c.spans().size(), 1u);
-  EXPECT_DOUBLE_EQ(c.spans()[0].start, 3.0);
-  EXPECT_DOUBLE_EQ(c.spans()[0].duration, 5.0);
-  EXPECT_EQ(c.spans()[0].category, Category::VectorAdd);
-  EXPECT_STREQ(c.spans()[0].tag, "full");
+  {
+    ModeGuard g(Mode::Stream);
+    c.span(Category::Scalar, 8.0, 1.0, "stream");
+  }
+  c.set_stream_sink(nullptr);
+  ASSERT_TRUE(sink.writer->finalize());
+
+  const auto file = trace::stream::read_sxt_file(sink.path);
+  ASSERT_EQ(file.tracks.size(), 1u);
+  const auto& t = file.tracks[0];
+  ASSERT_EQ(t.spans.size(), 2u);
+  EXPECT_DOUBLE_EQ(t.spans[0].start, 3.0);
+  EXPECT_DOUBLE_EQ(t.spans[0].duration, 5.0);
+  EXPECT_EQ(t.spans[0].category, static_cast<int>(Category::VectorAdd));
+  EXPECT_EQ(t.tags[t.spans[0].tag], "full");
+  EXPECT_EQ(t.tags[t.spans[1].tag], "stream");
 }
 
 TEST(Collector, ZeroDurationSpansAreSkipped) {
   ModeGuard g(Mode::Full);
+  Sink sink("collector_zero.sxt");
   Collector c;
+  c.set_stream_sink(&sink.track);
   c.span(Category::Scalar, 1.0, 0.0, "zero");
   c.span(Category::Scalar, 1.0, -1.0, "negative");
-  EXPECT_TRUE(c.spans().empty());
-  EXPECT_EQ(c.dropped_spans(), 0u);
-}
-
-TEST(Collector, BufferCapsAndCountsDrops) {
-  ModeGuard g(Mode::Full);
-  Collector c(1.0, 4);
-  for (int i = 0; i < 10; ++i) {
-    c.span(Category::Other, i, 1.0, "s");
-  }
-  EXPECT_EQ(c.spans().size(), 4u);
-  EXPECT_EQ(c.dropped_spans(), 6u);
+  EXPECT_EQ(sink.track.live_records(), 0u);
+  EXPECT_EQ(sink.track.dropped(), 0u);
+  c.set_stream_sink(nullptr);
 }
 
 TEST(Collector, AddCombinesCounterAndSpan) {
   ModeGuard g(Mode::Full);
+  Sink sink("collector_add.sxt");
   Collector c;
+  c.set_stream_sink(&sink.track);
   c.add(Category::IoDisk, 2.0, 3.0, "xfer");
   EXPECT_DOUBLE_EQ(c.total_ticks(), 3.0);
   EXPECT_DOUBLE_EQ(c.category_ticks(Category::IoDisk), 3.0);
-  ASSERT_EQ(c.spans().size(), 1u);
+  EXPECT_EQ(sink.track.live_records(), 1u);
+  c.set_stream_sink(nullptr);
 }
 
 TEST(Collector, InternedTagsAreStable) {
@@ -99,18 +128,21 @@ TEST(Collector, InternedTagsAreStable) {
 
 TEST(Collector, ResetClearsCountersAndSpansButKeepsTags) {
   ModeGuard g(Mode::Full);
-  Collector c(1.0, 2);
+  Sink sink("collector_reset.sxt");
+  Collector c;
+  c.set_stream_sink(&sink.track);
   const char* tag = c.intern("keep");
   c.add(Category::Scalar, 0.0, 1.0, tag);
   c.span(Category::Scalar, 1.0, 1.0, tag);
-  c.span(Category::Scalar, 2.0, 1.0, tag);  // dropped: cap is 2
-  EXPECT_EQ(c.dropped_spans(), 1u);
+  EXPECT_EQ(sink.track.live_records(), 2u);
   c.reset();
   EXPECT_DOUBLE_EQ(c.total_ticks(), 0.0);
   EXPECT_DOUBLE_EQ(c.category_ticks(Category::Scalar), 0.0);
-  EXPECT_TRUE(c.spans().empty());
-  EXPECT_EQ(c.dropped_spans(), 0u);
+  // The sink starts a new epoch: the earlier spans will not be exported.
+  EXPECT_EQ(sink.track.epoch(), 1u);
+  EXPECT_EQ(sink.track.live_records(), 0u);
   EXPECT_STREQ(tag, "keep");  // interned storage survives reset
+  c.set_stream_sink(nullptr);
 }
 
 TEST(Collector, SecondsPerTickIsRemembered) {

@@ -1,24 +1,23 @@
-// Trace determinism: attribution counters, span buffers, and the exported
-// Chrome trace must be byte-identical under sequential and threaded host
-// execution, and across repeated runs. The collectors are rank-private
+// Trace determinism: attribution counters and the Chrome trace exported
+// through the .sxt stream must be byte-identical under sequential and
+// threaded host execution, and across repeated runs. The collectors are rank-private
 // (same single-writer discipline as the Cpus), so this is the tracing
 // counterpart of tests/integration/test_policy_determinism.cpp.
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "ccm2/model.hpp"
 #include "common/thread_pool.hpp"
+#include "node_trace.hpp"
 #include "sxs/execution_policy.hpp"
 #include "sxs/machine_config.hpp"
 #include "sxs/node.hpp"
 #include "trace/attribution.hpp"
 #include "trace/category.hpp"
-#include "trace/chrome_trace.hpp"
 #include "trace/collector.hpp"
 
 namespace {
@@ -37,31 +36,35 @@ private:
   Mode before_;
 };
 
-/// Run two CCM2 steps on 8 CPUs under `policy` and return the node.
-std::unique_ptr<sxs::Node> run_ccm2(ExecutionPolicy policy,
-                                    ThreadPool* pool) {
+std::unique_ptr<sxs::Node> make_node(ExecutionPolicy policy,
+                                     ThreadPool* pool) {
   auto node = std::make_unique<sxs::Node>(MachineConfig::sx4_benchmarked(),
                                           policy);
   if (pool != nullptr) node->set_thread_pool(pool);
-  ccm2::Ccm2Config c;
-  c.res = ccm2::t42l18();
-  c.active_levels = 1;
-  ccm2::Ccm2 model(c, *node);
-  for (int s = 0; s < 2; ++s) model.step(8);
   return node;
 }
 
-std::string render_chrome(const sxs::Node& node) {
-  std::vector<trace::TraceTrack> tracks;
-  tracks.push_back({&node.runtime_trace(), 0, 0, "node0", "runtime"});
-  for (int i = 0; i < node.cpu_count(); ++i) {
-    tracks.push_back({&node.cpu(i).trace(), 0, i + 1, "node0",
-                      "cpu" + std::to_string(i)});
-  }
-  std::ostringstream os;
-  trace::write_chrome_trace(
-      os, std::span<const trace::TraceTrack>(tracks.data(), tracks.size()));
-  return os.str();
+/// Two CCM2 steps on 8 CPUs.
+void step_ccm2(sxs::Node& node) {
+  ccm2::Ccm2Config c;
+  c.res = ccm2::t42l18();
+  c.active_levels = 1;
+  ccm2::Ccm2 model(c, node);
+  for (int s = 0; s < 2; ++s) model.step(8);
+}
+
+std::unique_ptr<sxs::Node> run_ccm2(ExecutionPolicy policy,
+                                    ThreadPool* pool) {
+  auto node = make_node(policy, pool);
+  step_ccm2(*node);
+  return node;
+}
+
+/// Run step_ccm2 on `node` in the current (span) mode and return the
+/// Chrome JSON its .sxt stream converts to.
+std::string chrome_json(const std::string& name, sxs::Node& node) {
+  return test::stream_chrome_json(::testing::TempDir() + name + ".sxt", node,
+                                  step_ccm2);
 }
 
 void expect_tracks_identical(const sxs::Node& a, const sxs::Node& b) {
@@ -75,14 +78,6 @@ void expect_tracks_identical(const sxs::Node& a, const sxs::Node& b) {
       EXPECT_EQ(ca.category_ticks(cat), cb.category_ticks(cat))
           << "cpu " << i << " " << trace::to_string(cat);
     }
-    ASSERT_EQ(ca.spans().size(), cb.spans().size()) << "cpu " << i;
-    for (std::size_t s = 0; s < ca.spans().size(); ++s) {
-      EXPECT_EQ(ca.spans()[s].start, cb.spans()[s].start);
-      EXPECT_EQ(ca.spans()[s].duration, cb.spans()[s].duration);
-      EXPECT_EQ(ca.spans()[s].category, cb.spans()[s].category);
-      EXPECT_STREQ(ca.spans()[s].tag, cb.spans()[s].tag);
-    }
-    EXPECT_EQ(ca.dropped_spans(), cb.dropped_spans());
   }
   EXPECT_EQ(a.runtime_trace().total_ticks(), b.runtime_trace().total_ticks());
 }
@@ -98,19 +93,25 @@ TEST(TraceDeterminism, SummaryCountersPolicyInvariant) {
 TEST(TraceDeterminism, FullSpansAndChromeTracePolicyInvariant) {
   ModeGuard g(Mode::Full);
   ThreadPool pool(4);
-  const auto seq = run_ccm2(ExecutionPolicy::Sequential, nullptr);
-  const auto thr = run_ccm2(ExecutionPolicy::Threaded, &pool);
+  const auto seq = make_node(ExecutionPolicy::Sequential, nullptr);
+  const auto thr = make_node(ExecutionPolicy::Threaded, &pool);
+  const std::string a = chrome_json("determinism_seq", *seq);
+  const std::string b = chrome_json("determinism_thr", *thr);
   expect_tracks_identical(*seq, *thr);
-  EXPECT_EQ(render_chrome(*seq), render_chrome(*thr));  // byte-identical
+  ASSERT_NE(a.find("\"ph\":\"X\""), std::string::npos);  // spans exported
+  EXPECT_EQ(a, b);  // byte-identical
 }
 
 TEST(TraceDeterminism, RepeatedRunsByteIdentical) {
   ModeGuard g(Mode::Full);
   ThreadPool pool(4);
-  const auto a = run_ccm2(ExecutionPolicy::Threaded, &pool);
-  const auto b = run_ccm2(ExecutionPolicy::Threaded, &pool);
-  expect_tracks_identical(*a, *b);
-  EXPECT_EQ(render_chrome(*a), render_chrome(*b));
+  const auto first = make_node(ExecutionPolicy::Threaded, &pool);
+  const auto second = make_node(ExecutionPolicy::Threaded, &pool);
+  const std::string a = chrome_json("determinism_a", *first);
+  const std::string b = chrome_json("determinism_b", *second);
+  expect_tracks_identical(*first, *second);
+  ASSERT_NE(a.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_EQ(a, b);
 }
 
 TEST(TraceDeterminism, AttributionTablesPolicyInvariant) {

@@ -1,33 +1,27 @@
-// The streaming subsystem's core correctness claim: for the same model
-// run, SX4NCAR_TRACE=stream → .sxt → sxtrace conversion produces Chrome
-// trace JSON byte-identical to what SX4NCAR_TRACE=full writes live. The
-// tests mirror the bench harness's track layout (trace_report.cpp):
-// runtime on tid 0 always, cpu i on tid i+1 with the skip-empty rule.
+// Chrome JSON of real model runs, pinned. SX4NCAR_TRACE=full renders its
+// Chrome trace from the run's .sxt stream; these runs' JSON must keep the
+// exact bytes the former in-memory span exporter wrote for the same runs
+// (byte length and 64-bit FNV-1a hash, recorded from that exporter). The
+// runs use the bench harness's track layout (tests/trace/node_trace.hpp).
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <sstream>
+#include <cstddef>
+#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "ccm2/model.hpp"
+#include "node_trace.hpp"
 #include "ocean/mom.hpp"
 #include "sxs/execution_policy.hpp"
 #include "sxs/machine_config.hpp"
 #include "sxs/node.hpp"
 #include "trace/category.hpp"
-#include "trace/chrome_trace.hpp"
-#include "trace/collector.hpp"
-#include "trace/stream/convert.hpp"
-#include "trace/stream/reader.hpp"
-#include "trace/stream/writer.hpp"
 
 namespace {
 
 using namespace ncar;
 using trace::Mode;
-using trace::stream::Writer;
 
 class ModeGuard {
 public:
@@ -38,90 +32,32 @@ private:
   Mode before_;
 };
 
-/// Attach every collector of `node` to `writer` with the exact track
-/// identities the bench harness uses (StreamTrace::attach_node).
-std::vector<trace::Collector*> attach_node(Writer& writer, sxs::Node& node) {
-  std::vector<trace::Collector*> attached;
-  Writer::TrackSpec spec;
-  spec.pid = 0;
-  spec.process_name = "node0";
-  auto attach = [&](trace::Collector& c) {
-    Writer::TrackSpec full = spec;
-    full.seconds_per_tick = c.seconds_per_tick();
-    full.max_spans = c.max_spans();
-    c.set_stream_sink(&writer.add_track(full));
-    attached.push_back(&c);
-  };
-  spec.tid = 0;
-  spec.thread_name = "runtime";
-  attach(node.runtime_trace());
-  for (int i = 0; i < node.cpu_count(); ++i) {
-    spec.tid = i + 1;
-    spec.thread_name = "cpu" + std::to_string(i);
-    spec.skip_if_empty = true;
-    attach(node.cpu(i).trace());
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char ch : s) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ull;
   }
-  return attached;
+  return h;
 }
 
-/// The live Full-mode export with the harness's track layout
-/// (append_node_tracks): runtime always, CPU tracks only when non-empty.
-std::string render_full(const sxs::Node& node) {
-  std::vector<trace::TraceTrack> tracks;
-  tracks.push_back({&node.runtime_trace(), 0, 0, "node0", "runtime"});
-  for (int i = 0; i < node.cpu_count(); ++i) {
-    const trace::Collector& c = node.cpu(i).trace();
-    if (c.spans().empty()) continue;
-    tracks.push_back({&c, 0, i + 1, "node0", "cpu" + std::to_string(i)});
-  }
-  std::ostringstream os;
-  trace::write_chrome_trace(
-      os, std::span<const trace::TraceTrack>(tracks.data(), tracks.size()));
-  return os.str();
-}
-
-std::string convert_sxt(const std::string& path) {
-  const trace::stream::SxtFile file = trace::stream::read_sxt_file(path);
-  std::ostringstream os;
-  trace::stream::write_chrome_json(file, os);
-  return os.str();
-}
-
-/// Run `model_fn(node)` once in Full mode rendering the live JSON, and
-/// once in Stream mode converting the .sxt — the two must match byte for
-/// byte.
+/// Run `model_fn(node)` in Full mode and check the Chrome JSON against
+/// the pinned length and hash.
 template <typename ModelFn>
-void expect_convert_byte_identical(const std::string& sxt_path,
-                                   ModelFn model_fn) {
-  std::string live;
-  {
-    ModeGuard g(Mode::Full);
-    sxs::Node node(sxs::MachineConfig::sx4_benchmarked(),
-                   sxs::ExecutionPolicy::Sequential);
-    model_fn(node);
-    live = render_full(node);
-  }
-  std::string converted;
-  {
-    ModeGuard g(Mode::Stream);
-    sxs::Node node(sxs::MachineConfig::sx4_benchmarked(),
-                   sxs::ExecutionPolicy::Sequential);
-    auto writer = Writer::open(sxt_path);
-    ASSERT_NE(writer, nullptr);
-    const auto attached = attach_node(*writer, node);
-    model_fn(node);
-    for (trace::Collector* c : attached) c->set_stream_sink(nullptr);
-    ASSERT_TRUE(writer->finalize());
-    EXPECT_EQ(writer->stats().dropped, 0u);
-    converted = convert_sxt(sxt_path);
-  }
-  ASSERT_FALSE(live.empty());
-  EXPECT_EQ(converted, live);
+void expect_pinned_json(const std::string& sxt_path, std::size_t bytes,
+                        std::uint64_t hash, ModelFn model_fn) {
+  ModeGuard g(Mode::Full);
+  sxs::Node node(sxs::MachineConfig::sx4_benchmarked(),
+                 sxs::ExecutionPolicy::Sequential);
+  const std::string json = test::stream_chrome_json(sxt_path, node, model_fn);
+  EXPECT_EQ(json.size(), bytes);
+  EXPECT_EQ(fnv1a(json), hash);
 }
 
 TEST(StreamConvert, Ccm2TraceByteIdentical) {
-  expect_convert_byte_identical(
-      ::testing::TempDir() + "convert_ccm2.sxt", [](sxs::Node& node) {
+  expect_pinned_json(
+      ::testing::TempDir() + "convert_ccm2.sxt", 133562,
+      0xacc987459bee8e33ull, [](sxs::Node& node) {
         ccm2::Ccm2Config c;
         c.res = ccm2::t42l18();
         c.active_levels = 1;
@@ -131,18 +67,20 @@ TEST(StreamConvert, Ccm2TraceByteIdentical) {
 }
 
 TEST(StreamConvert, MomTraceByteIdentical) {
-  expect_convert_byte_identical(
-      ::testing::TempDir() + "convert_mom.sxt", [](sxs::Node& node) {
+  expect_pinned_json(
+      ::testing::TempDir() + "convert_mom.sxt", 873158, 0x61678a17e607cef8ull,
+      [](sxs::Node& node) {
         ocean::Mom model(ocean::MomConfig::low_resolution(), node);
         for (int s = 0; s < 2; ++s) model.step(8);
       });
 }
 
 TEST(StreamConvert, ResetMatchesLiveExportToo) {
-  // A mid-run Collector::reset discards in-memory spans in Full mode and
-  // dead epochs in Stream mode; the converted trace must still match.
-  expect_convert_byte_identical(
-      ::testing::TempDir() + "convert_reset.sxt", [](sxs::Node& node) {
+  // A mid-run Collector::reset starts a new sink epoch; only the spans
+  // after it reach the JSON.
+  expect_pinned_json(
+      ::testing::TempDir() + "convert_reset.sxt", 66722,
+      0xb25893eb87c36e76ull, [](sxs::Node& node) {
         ccm2::Ccm2Config c;
         c.res = ccm2::t42l18();
         c.active_levels = 1;

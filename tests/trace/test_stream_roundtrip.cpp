@@ -34,7 +34,6 @@ Writer::TrackSpec spec(int pid, int tid, const char* process,
   s.thread_name = thread;
   s.seconds_per_tick = tick;
   s.skip_if_empty = skip;
-  s.max_spans = 1u << 20;
   return s;
 }
 
@@ -89,7 +88,7 @@ TEST(StreamRoundTrip, SpansSpecsAndTagsSurvive) {
   const std::string path = temp_path("roundtrip.sxt");
   Writer::Options opt;
   opt.chunk_records = 16;  // force several chunk flushes
-  opt.pack = 0;
+  opt.pack = false;
   auto writer = Writer::open(path, opt);
   ASSERT_NE(writer, nullptr);
 
@@ -125,7 +124,6 @@ TEST(StreamRoundTrip, SpansSpecsAndTagsSurvive) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(rt.seconds_per_tick),
             std::bit_cast<std::uint64_t>(8e-9));
   EXPECT_FALSE(rt.skip_if_empty);
-  EXPECT_EQ(rt.max_spans, 1u << 20);
   ASSERT_EQ(rt.spans.size(), 1u);
   EXPECT_EQ(rt.tags.at(rt.spans[0].tag), "barrier");
 
@@ -151,7 +149,7 @@ TEST(StreamRoundTrip, ResetCompactsDeadEpochs) {
   const std::string path = temp_path("epochs.sxt");
   Writer::Options opt;
   opt.chunk_records = 16;
-  opt.pack = 0;
+  opt.pack = false;
   auto writer = Writer::open(path, opt);
   ASSERT_NE(writer, nullptr);
   TrackSink& sink =
@@ -206,9 +204,9 @@ TEST(StreamRoundTrip, ResetCompactsDeadEpochs) {
 TEST(StreamRoundTrip, PackedAndRawFilesParseIdentically) {
   Writer::Options raw_opt;
   raw_opt.chunk_records = 512;
-  raw_opt.pack = 0;
+  raw_opt.pack = false;
   Writer::Options pack_opt = raw_opt;
-  pack_opt.pack = 1;
+  pack_opt.pack = true;
   const std::string raw_path = temp_path("pack_off.sxt");
   const std::string pack_path = temp_path("pack_on.sxt");
 
@@ -253,10 +251,29 @@ TEST(StreamRoundTrip, PackedAndRawFilesParseIdentically) {
   EXPECT_EQ(bytes[first_chunk_layout(bytes).encoding_pos], kEncodingEntropy);
 }
 
+TEST(StreamRoundTrip, SinkCountsSpansItCannotHandOff) {
+  // A chunk the writer refuses (here: already finalised) is counted in
+  // dropped(), never blocked on; a reset starts the count over.
+  Writer::Options opt;
+  opt.chunk_records = 4;
+  auto writer = Writer::open(temp_path("closed.sxt"), opt);
+  ASSERT_NE(writer, nullptr);
+  TrackSink& sink = writer->add_track({});
+  ASSERT_TRUE(writer->finalize());
+  for (int i = 0; i < 6; ++i) {
+    sink.record(Category::Scalar, i * 1.0, 1.0, "late");
+  }
+  EXPECT_EQ(sink.dropped(), 4u);       // one refused chunk
+  EXPECT_EQ(sink.live_records(), 2u);  // still staged in the ring
+  sink.on_reset();
+  EXPECT_EQ(sink.dropped(), 0u);
+  EXPECT_EQ(writer->stats().dropped, 0u);  // the footer saw no drops
+}
+
 std::vector<std::uint8_t> small_valid_file(const std::string& path) {
   Writer::Options opt;
   opt.chunk_records = 4;
-  opt.pack = 0;
+  opt.pack = false;
   auto writer = Writer::open(path, opt);
   TrackSink& sink = writer->add_track({});
   for (int i = 0; i < 4; ++i) {
@@ -302,8 +319,9 @@ TEST(StreamReject, StructuralDamageRaisesExactErrors) {
 
 TEST(StreamReject, TruncatedChunkPayloadAndCorruptEntropy) {
   // Hand-built file whose chunk claims more payload than the file holds.
-  std::vector<std::uint8_t> fake = {'S', 'X', 'T', '1', 1, 0, 0, 0,
-                                    0,   0,   0,   0,   0, 0, 0, 0};
+  std::vector<std::uint8_t> fake = {
+      'S', 'X', 'T', '1', static_cast<std::uint8_t>(kVersion), 0, 0, 0,
+      0,   0,   0,   0,   0,                                   0, 0, 0};
   fake.push_back(kChunkMarker);
   std::uint8_t scratch[kMaxVarintBytes];
   for (const std::uint64_t v : {0ull, 0ull, 0ull, 4ull}) {
@@ -321,7 +339,7 @@ TEST(StreamReject, TruncatedChunkPayloadAndCorruptEntropy) {
   const std::string path = temp_path("entropy_victim.sxt");
   Writer::Options opt;
   opt.chunk_records = 512;
-  opt.pack = 1;
+  opt.pack = true;
   auto writer = Writer::open(path, opt);
   TrackSink& sink = writer->add_track({});
   for (int i = 0; i < 512; ++i) {

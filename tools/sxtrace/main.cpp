@@ -1,9 +1,8 @@
 // sxtrace — offline toolbox for .sxt binary streaming traces.
 //
 //   sxtrace convert <in.sxt> <out.json>   .sxt -> Chrome trace_event JSON,
-//                                         byte-identical to the live
-//                                         SX4NCAR_TRACE=full export of the
-//                                         same spans (drops permitting)
+//                                         the same bytes SX4NCAR_TRACE=full
+//                                         writes for the same run
 //   sxtrace stats <in.sxt>                events, bytes, bytes/event, the
 //                                         compression ratio against the
 //                                         equivalent Chrome JSON, drops
@@ -18,7 +17,7 @@
 #include <sstream>
 #include <string>
 
-#include "trace/stream/convert.hpp"
+#include "trace/chrome_trace.hpp"
 #include "trace/stream/reader.hpp"
 
 namespace {
@@ -38,7 +37,7 @@ int convert(const std::string& in_path, const std::string& out_path) {
     std::fprintf(stderr, "sxtrace: cannot open %s\n", out_path.c_str());
     return 1;
   }
-  ncar::trace::stream::write_chrome_json(file, out);
+  ncar::trace::write_chrome_trace(out, file);
   out.flush();
   if (!out) {
     std::fprintf(stderr, "sxtrace: write failed: %s\n", out_path.c_str());
@@ -63,7 +62,7 @@ int stats(const std::string& in_path) {
   // The honest compression baseline: render the very JSON `convert` would
   // emit and compare sizes.
   std::ostringstream json;
-  ncar::trace::stream::write_chrome_json(file, json);
+  ncar::trace::write_chrome_trace(json, file);
   const std::uint64_t json_bytes = json.str().size();
 
   const double bytes = static_cast<double>(file.stats.file_bytes);
