@@ -3,8 +3,8 @@
 # Each SX4NCAR_* knob a bench main reads has one strict parser that throws
 # ncar::config_error on a value it does not know; BenchReporter turns that
 # into exit 2 with a message naming the knob. This runs BENCH_BIN with
-# KNOB=VALUE and passes only when the run exits non-zero and its output
-# names the knob.
+# KNOB=VALUE and passes only when the run exits 2 and its output names the
+# knob; any other exit, a crash included, fails.
 #
 # Required -D variables: BENCH_BIN, BENCH_NAME, OUT_DIR, KNOB, VALUE.
 
@@ -26,9 +26,9 @@ execute_process(
   OUTPUT_VARIABLE stdout
   ERROR_VARIABLE stderr)
 
-if(rc EQUAL 0)
+if(NOT rc STREQUAL "2")
   message(FATAL_ERROR
-    "${BENCH_NAME} accepted ${KNOB}=${VALUE} (exit 0):\n"
+    "${BENCH_NAME} with ${KNOB}=${VALUE} exited ${rc}, not 2:\n"
     "${stdout}\n${stderr}")
 endif()
 string(FIND "${stdout}${stderr}" "${KNOB}" named)

@@ -25,11 +25,13 @@
 //   SX4NCAR_SWEEP_BANKS   comma list of bank counts   (default 256,...,2048)
 //   SX4NCAR_SWEEP_CLOCKS  comma list of clock periods (default 9.2,8)
 //   SX4NCAR_SWEEP_REPORT  report path (default <results>/design_sweep.report.json)
+//
+// The lists take numbers above 0. A malformed knob stops the run with
+// exit 2 and a message naming it (harness/knobs.hpp).
 
 #include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -38,6 +40,7 @@
 
 #include "common/error.hpp"
 #include "common/table.hpp"
+#include "harness/knobs.hpp"
 #include "harness/reporter.hpp"
 #include "machines/description.hpp"
 #include "machines/sweep.hpp"
@@ -49,31 +52,34 @@ using ncar::machines::Axis;
 using ncar::machines::Grid;
 using ncar::machines::SweepReport;
 
-std::string env_string(const char* var, const std::string& fallback) {
-  const char* v = std::getenv(var);
-  return v && *v ? std::string(v) : fallback;
-}
+/// What the SX4NCAR_SWEEP_* knobs select.
+struct SweepKnobs {
+  std::string kernel;
+  std::string base;
+  std::vector<Axis> axes;
+  std::string report;
+};
 
-std::vector<double> env_values(const char* var,
-                               std::vector<double> fallback) {
-  const char* v = std::getenv(var);
-  if (!v || !*v) return fallback;
-  std::vector<double> out;
-  const std::string s(v);
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    const std::string tok =
-        s.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    char* end = nullptr;
-    const double value = std::strtod(tok.c_str(), &end);
-    NCAR_REQUIRE(end == tok.c_str() + tok.size() && !tok.empty(),
-                 "malformed value list in sweep knob");
-    out.push_back(value);
-    pos = comma == std::string::npos ? s.size() + 1 : comma + 1;
-  }
-  NCAR_REQUIRE(!out.empty(), "empty value list in sweep knob");
-  return out;
+SweepKnobs read_sweep_knobs(const std::string& default_report) {
+  using ncar::bench::knob_positive_list;
+  SweepKnobs k;
+  k.kernel = ncar::bench::knob_choice("SX4NCAR_SWEEP_KERNEL", "radabs",
+                                      ncar::machines::probe_kernels());
+  k.base = ncar::bench::knob_choice("SX4NCAR_SWEEP_BASE", "NEC SX-4/1",
+                                    ncar::machines::builtin_names());
+  k.axes = {
+      {"pipes_per_group",
+       knob_positive_list("SX4NCAR_SWEEP_PIPES", {1, 2, 4, 8, 16, 32})},
+      {"vector_length",
+       knob_positive_list("SX4NCAR_SWEEP_VL", {32, 64, 128, 256, 512})},
+      {"port_bytes_per_clock",
+       knob_positive_list("SX4NCAR_SWEEP_PORT", {16, 32, 64, 128, 256})},
+      {"memory_banks",
+       knob_positive_list("SX4NCAR_SWEEP_BANKS", {256, 512, 1024, 2048})},
+      {"clock_ns", knob_positive_list("SX4NCAR_SWEEP_CLOCKS", {9.2, 8})},
+  };
+  k.report = ncar::bench::knob_string("SX4NCAR_SWEEP_REPORT", default_report);
+  return k;
 }
 
 /// Metric-name slug for a catalog machine ("NEC SX-4/1" -> "nec_sx_4_1").
@@ -107,20 +113,11 @@ int main(int argc, char** argv) {
   using namespace ncar;
   bench::BenchReporter rep("design_sweep", argc, argv);
 
-  const std::string kernel = env_string("SX4NCAR_SWEEP_KERNEL", "radabs");
-  const std::string base_name =
-      env_string("SX4NCAR_SWEEP_BASE", "NEC SX-4/1");
-  const std::vector<Axis> axes = {
-      {"pipes_per_group", env_values("SX4NCAR_SWEEP_PIPES",
-                                     {1, 2, 4, 8, 16, 32})},
-      {"vector_length", env_values("SX4NCAR_SWEEP_VL",
-                                   {32, 64, 128, 256, 512})},
-      {"port_bytes_per_clock", env_values("SX4NCAR_SWEEP_PORT",
-                                          {16, 32, 64, 128, 256})},
-      {"memory_banks", env_values("SX4NCAR_SWEEP_BANKS",
-                                  {256, 512, 1024, 2048})},
-      {"clock_ns", env_values("SX4NCAR_SWEEP_CLOCKS", {9.2, 8})},
-  };
+  const SweepKnobs knobs = rep.read_knobs(
+      [&] { return read_sweep_knobs(rep.aux_path("report.json")); });
+  const std::string& kernel = knobs.kernel;
+  const std::string& base_name = knobs.base;
+  const std::vector<Axis>& axes = knobs.axes;
 
   const Grid grid(machines::builtin_catalog().at(base_name), axes);
 
@@ -178,8 +175,7 @@ int main(int argc, char** argv) {
   }
   rank.print(std::cout);
 
-  const std::string report_path =
-      env_string("SX4NCAR_SWEEP_REPORT", rep.aux_path("report.json"));
+  const std::string& report_path = knobs.report;
   bool report_written = false;
   {
     const std::filesystem::path p(report_path);

@@ -10,6 +10,7 @@
 #include <ostream>
 
 #include "common/error.hpp"
+#include "harness/knobs.hpp"
 #include "sxs/execution_policy.hpp"
 #include "trace/category.hpp"
 
@@ -34,21 +35,15 @@ namespace {
   std::exit(exit_code);
 }
 
-std::string env_or(const char* var, const std::string& fallback) {
-  const char* v = std::getenv(var);
-  return v && *v ? std::string(v) : fallback;
-}
-
 }  // namespace
 
 BenchReporter::BenchReporter(std::string name, int argc, char** argv)
     : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {
   // Set *and non-empty* selects the full sweep; `SX4NCAR_BENCH_FULL=` forces
   // the quick mode (CTest uses this so runs match the committed baselines).
-  const char* full = std::getenv("SX4NCAR_BENCH_FULL");
-  full_mode_ = full != nullptr && *full != '\0';
-  results_dir_ = env_or("SX4NCAR_BENCH_RESULTS_DIR", "bench/results");
-  baseline_dir_ = env_or("SX4NCAR_BASELINE_DIR", "bench/baselines");
+  full_mode_ = !knob_string("SX4NCAR_BENCH_FULL", "").empty();
+  results_dir_ = knob_string("SX4NCAR_BENCH_RESULTS_DIR", "bench/results");
+  baseline_dir_ = knob_string("SX4NCAR_BASELINE_DIR", "bench/baselines");
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -81,10 +76,14 @@ BenchReporter::BenchReporter(std::string name, int argc, char** argv)
     host_execution_ = sxs::host_execution_summary();
     (void)trace::mode();
   } catch (const config_error& e) {
-    std::fprintf(stderr, "%s: %s\n", name_.c_str(), e.what());
-    std::exit(2);
+    config_exit(e);
   }
   std::cout << "host execution: " << host_execution_ << "\n\n";
+}
+
+void BenchReporter::config_exit(const config_error& e) const {
+  std::fprintf(stderr, "%s: %s\n", name_.c_str(), e.what());
+  std::exit(2);
 }
 
 namespace {

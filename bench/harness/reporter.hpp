@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "harness/baseline.hpp"
 #include "harness/expectation.hpp"
 #include "harness/json.hpp"
@@ -49,6 +50,18 @@ public:
   /// Parses flags (exits on --help / bad usage) and prints the
   /// "host execution: ..." banner followed by a blank line.
   BenchReporter(std::string name, int argc, char** argv);
+
+  /// Runs `read`, a bench main's parse of its own knobs (harness/knobs.hpp),
+  /// and returns its result. A config_error stops the run as a malformed
+  /// library knob does in the constructor: "<bench>: <message>", exit 2.
+  template <typename Read>
+  auto read_knobs(Read&& read) const -> decltype(read()) {
+    try {
+      return read();
+    } catch (const config_error& e) {
+      config_exit(e);
+    }
+  }
 
   /// Register a named scalar. Names must be unique within a run; returns
   /// `value` so measurements can be registered inline.
@@ -114,6 +127,7 @@ public:
   int finish(std::ostream& os);
 
 private:
+  [[noreturn]] void config_exit(const config_error& e) const;
   int check_baseline(std::ostream& os);
 
   std::string name_;

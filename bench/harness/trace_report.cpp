@@ -117,6 +117,7 @@ void print_attribution(std::ostream& os, const sxs::Node& node) {
 bool StreamTrace::open(const std::string& path) {
   const trace::Mode m = trace::mode();
   if (!trace::spans_enabled(m)) return false;
+  requested_ = true;
   writer_ = trace::stream::Writer::open(path);
   chrome_ = m == trace::Mode::Full;
   return writer_ != nullptr;
@@ -179,20 +180,31 @@ void StreamTrace::attach(trace::Collector& collector,
 }
 
 bool StreamTrace::finish(BenchReporter& rep) {
-  if (!active()) return false;
-  for (trace::Collector* c : attached_) c->set_stream_sink(nullptr);
-  attached_.clear();
-  bool ok = writer_->finalize();
-  if (ok && chrome_) ok = write_chrome_json(writer_->path(), rep.trace_path());
-  const trace::stream::Writer::Stats& st = writer_->stats();
+  if (!requested_) return false;
   const std::string prefix = rep.name() + ".trace_stream";
-  const double events = static_cast<double>(st.events);
-  const double bytes = static_cast<double>(st.file_bytes);
-  rep.metric(prefix + ".events", events);
-  rep.metric(prefix + ".bytes", bytes, "bytes");
-  rep.metric(prefix + ".bytes_per_event", events > 0 ? bytes / events : 0.0);
-  rep.metric(prefix + ".dropped", static_cast<double>(st.dropped));
-  writer_.reset();
+  bool ok = false;
+  if (active()) {
+    for (trace::Collector* c : attached_) c->set_stream_sink(nullptr);
+    attached_.clear();
+    ok = writer_->finalize();
+    if (ok && chrome_) {
+      ok = write_chrome_json(writer_->path(), rep.trace_path());
+    }
+    if (ok) {
+      const trace::stream::Writer::Stats& st = writer_->stats();
+      const double events = static_cast<double>(st.events);
+      const double bytes = static_cast<double>(st.file_bytes);
+      rep.metric(prefix + ".events", events);
+      rep.metric(prefix + ".bytes", bytes, "bytes");
+      rep.metric(prefix + ".bytes_per_event",
+                 events > 0 ? bytes / events : 0.0);
+    }
+    writer_.reset();
+  }
+  // A trace that lost spans (or was never created) must not pass for a
+  // complete one: the run fails.
+  rep.expect_true(prefix + ".written", ok,
+                  "a span-mode run writes its whole trace");
   return ok;
 }
 

@@ -68,9 +68,12 @@ void print_attribution(std::ostream& os, const sxs::Machine& machine);
 /// Call finish(rep) after the run: it detaches the sinks, finalises the
 /// file, in full mode converts it to rep.trace_path() (Chrome trace_event
 /// JSON, the same bytes `sxtrace convert` writes), and lands
-/// `<bench>.trace_stream.{events,bytes,bytes_per_event,dropped}` on the
-/// reporter. The destructor detaches and finalises too (without metrics
-/// or conversion) if finish was never reached.
+/// `<bench>.trace_stream.{events,bytes,bytes_per_event}` on the reporter.
+/// In a span mode it also checks `<bench>.trace_stream.written`: a trace
+/// file that could not be created, or whose writes failed (a chunk
+/// hand-off included), fails the run and reports no sizes. The destructor detaches and
+/// finalises too (without metrics or conversion) if finish was never
+/// reached.
 class StreamTrace {
 public:
   StreamTrace(const std::string& path, sxs::Node& node);
@@ -86,8 +89,8 @@ public:
   bool active() const { return writer_ != nullptr; }
 
   /// Finalise the .sxt (and in full mode write the Chrome JSON), then
-  /// report the trace_stream metrics. Returns true when every file was
-  /// written successfully.
+  /// report the trace_stream metrics and the `written` check. Returns true
+  /// when every file was written successfully.
   bool finish(BenchReporter& rep);
 
 private:
@@ -100,7 +103,8 @@ private:
 
   std::vector<trace::Collector*> attached_;
   std::unique_ptr<trace::stream::Writer> writer_;
-  bool chrome_ = false;  ///< Mode::Full: convert to Chrome JSON at finish
+  bool requested_ = false;  ///< the mode records spans
+  bool chrome_ = false;     ///< Mode::Full: convert to Chrome JSON at finish
 };
 
 }  // namespace ncar::bench

@@ -18,31 +18,29 @@
 // itself, reported as a host metric (omitted under --deterministic).
 //
 // Knobs (environment):
-//   SX4NCAR_YEAR_DAYS  simulated horizon in days (default 365)
-//   SX4NCAR_YEAR_SEED  RNG registry seed (default the kernel's)
+//   SX4NCAR_YEAR_DAYS  simulated horizon in days, above 0 (default 365)
+//   SX4NCAR_YEAR_SEED  RNG registry seed, a decimal integer; 0 or unset
+//                      keeps the kernel's default
+// A malformed knob stops the run with exit 2 naming it (harness/knobs.hpp).
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "des/simulation.hpp"
 #include "des/workload.hpp"
+#include "harness/knobs.hpp"
 #include "harness/reporter.hpp"
 #include "prodload/node_lp.hpp"
 #include "prodload/queue_complex.hpp"
 #include "sxs/machine_config.hpp"
 
 namespace {
-
-double env_double(const char* var, double fallback) {
-  const char* v = std::getenv(var);
-  return v && *v ? std::atof(v) : fallback;
-}
 
 /// The job mix: CCM2-flavoured classes sized so the node runs at roughly
 /// 55-60% average utilisation — busy enough for queueing, stable enough
@@ -74,13 +72,13 @@ int main(int argc, char** argv) {
   bench::BenchReporter rep("prodload_year", argc, argv);
   const auto machine = sxs::MachineConfig::sx4_benchmarked();
 
-  const double days = env_double("SX4NCAR_YEAR_DAYS", 365.0);
-  const double seed_d = env_double("SX4NCAR_YEAR_SEED", 0.0);
+  const auto [days, seed] = rep.read_knobs([] {
+    return std::pair{bench::knob_positive("SX4NCAR_YEAR_DAYS", 365.0),
+                     bench::knob_uint64("SX4NCAR_YEAR_SEED", 0)};
+  });
   const Seconds horizon(days * 86400.0);
 
-  des::Simulation sim = seed_d != 0.0
-                            ? des::Simulation(static_cast<std::uint64_t>(seed_d))
-                            : des::Simulation();
+  des::Simulation sim = seed != 0 ? des::Simulation(seed) : des::Simulation();
   prodload::NodeLp node(sim, machine.cpus_per_node,
                         machine.bank_contention_per_cpu);
   prodload::QueueComplexLp nqs(

@@ -27,6 +27,9 @@ public:
     return mask_(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) != 0;
   }
 
+  /// The whole mask, 1 for ocean and 0 for land, i fastest.
+  const Array2D<int>& grid() const { return mask_; }
+
   /// Ocean points in latitude row j.
   int ocean_in_row(int j) const {
     return row_counts_[static_cast<std::size_t>(j)];

@@ -1,6 +1,7 @@
 #include "ocean/mom.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -89,29 +90,103 @@ void Mom::reset() {
   sor_residual_ = 0;
 }
 
+namespace {
+
+/// Rows of one SOR wave updated side by side (see sor_sweeps).
+constexpr int kWaveRows = 4;
+
+/// One sweep of the M rows of a wave, walked along i in lockstep; `row[k]`
+/// is the flat offset of row k's first point. Row k+1 lies two rows below
+/// row k, so the row between them is row k's south neighbour and row k+1's
+/// north one: each i loads the M+1 neighbour rows once, from `north` (row
+/// 0's north neighbour) down in steps of two rows. `left[k]` holds the
+/// value at i-1 that row k's update at i reads: the old value at nlon-1
+/// for i = 0, then each point's new value, kept in a register. The update
+/// is the row-by-row loop's expression in its operation order. Kept out
+/// of line: inlined into the wave loop, the solve ran about 10% slower
+/// (g++ 12, -O3).
+template <std::size_t M>
+[[gnu::noinline]] void sor_rows(double* psi, const double* forcing,
+                                const int* ocean, std::size_t n,
+                                const std::array<std::size_t, M>& row,
+                                double w) {
+  const double* north = psi + row[0] + n;
+  const auto two_rows = 2 * static_cast<std::ptrdiff_t>(n);
+  double left[M];
+  for (std::size_t k = 0; k < M; ++k) left[k] = psi[row[k] + n - 1];
+  const auto point = [&](std::size_t i, std::size_t ip) {
+    double between[M + 1];
+    for (std::size_t k = 0; k <= M; ++k) {
+      between[k] = north[static_cast<std::ptrdiff_t>(i) -
+                         two_rows * static_cast<std::ptrdiff_t>(k)];
+    }
+    for (std::size_t k = 0; k < M; ++k) {
+      const std::size_t at = row[k] + i;
+      const double old = psi[at];
+      const double nbr =
+          ((left[k] + psi[row[k] + ip]) + between[k + 1]) + between[k];
+      const double gs = 0.25 * (nbr - forcing[at]);
+      if (ocean[at] != 0) {
+        const double next = (1.0 - w) * old + w * gs;
+        psi[at] = next;
+        left[k] = next;
+      } else {
+        left[k] = old;
+      }
+    }
+  };
+  for (std::size_t i = 0; i + 1 < n; ++i) point(i, i + 1);
+  point(n - 1, 0);  // the wrap reads the new value at i = 0
+}
+
+}  // namespace
+
+void sor_sweeps(Array2D<double>& psi, const Array2D<double>& forcing,
+                const Array2D<int>& ocean, int sweeps, double omega) {
+  NCAR_REQUIRE(forcing.ni() == psi.ni() && forcing.nj() == psi.nj() &&
+                   ocean.ni() == psi.ni() && ocean.nj() == psi.nj(),
+               "SOR fields must share one grid");
+  const std::size_t n = psi.ni();
+  const int rows = static_cast<int>(psi.nj()) - 2;
+  if (n == 0 || rows <= 0 || sweeps <= 0) return;
+  double* p = psi.flat().data();
+  const double* f = forcing.flat().data();
+  const int* o = ocean.flat().data();
+  // Interior row J = j - 1 at sweep t runs in wave tau = J + 2t. The rows
+  // of one wave are two apart and read only rows of other waves, so each
+  // group of kWaveRows of them runs in lockstep.
+  const int waves = rows + 2 * (sweeps - 1);
+  for (int tau = 0; tau < waves; ++tau) {
+    const int t_first = std::max(0, (tau - rows + 2) / 2);
+    const int t_last = std::min(sweeps - 1, tau / 2);
+    for (int t = t_first; t <= t_last; t += kWaveRows) {
+      const auto r = [&](int k) {  // row J = tau - 2(t + k), so j = J + 1
+        return static_cast<std::size_t>(tau - 2 * (t + k) + 1) * n;
+      };
+      static_assert(kWaveRows == 4, "one case per group width");
+      switch (std::min(kWaveRows, t_last - t + 1)) {
+        case 4:
+          sor_rows<4>(p, f, o, n, {r(0), r(1), r(2), r(3)}, omega);
+          break;
+        case 3:
+          sor_rows<3>(p, f, o, n, {r(0), r(1), r(2)}, omega);
+          break;
+        case 2:
+          sor_rows<2>(p, f, o, n, {r(0), r(1)}, omega);
+          break;
+        default:
+          sor_rows<1>(p, f, o, n, {r(0)}, omega);
+          break;
+      }
+    }
+  }
+}
+
 void Mom::solve_barotropic() {
   // Gauss-Seidel SOR for del^2 psi = forcing, psi = 0 on land, periodic in
   // longitude, five-point stencil on the (unit-spaced) grid.
   const int nlon = cfg_.nlon, nlat = cfg_.nlat;
-  const double w = cfg_.sor_omega;
-  for (int it = 0; it < cfg_.sor_iters; ++it) {
-    for (int j = 1; j < nlat - 1; ++j) {
-      for (int i = 0; i < nlon; ++i) {
-        if (!mask_.ocean(i, j)) continue;
-        const int im = (i + nlon - 1) % nlon, ip = (i + 1) % nlon;
-        const std::size_t jj = static_cast<std::size_t>(j);
-        const double nbr =
-            psi_(static_cast<std::size_t>(im), jj) +
-            psi_(static_cast<std::size_t>(ip), jj) +
-            psi_(static_cast<std::size_t>(i), jj - 1) +
-            psi_(static_cast<std::size_t>(i), jj + 1);
-        const double gs =
-            0.25 * (nbr - forcing_(static_cast<std::size_t>(i), jj));
-        psi_(static_cast<std::size_t>(i), jj) =
-            (1.0 - w) * psi_(static_cast<std::size_t>(i), jj) + w * gs;
-      }
-    }
-  }
+  sor_sweeps(psi_, forcing_, mask_.grid(), cfg_.sor_iters, cfg_.sor_omega);
   // Residual check.
   double res = 0;
   for (int j = 1; j < nlat - 1; ++j) {

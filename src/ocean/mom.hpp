@@ -56,6 +56,24 @@ struct MomConfig {
   static MomConfig low_resolution();
 };
 
+/// `sweeps` Gauss-Seidel SOR sweeps of the rigid-lid Poisson problem
+/// del^2 psi = forcing on the interior rows j = 1 .. nj-2 of `psi`: five-
+/// point stencil on the unit grid, periodic in i, points where `ocean` is 0
+/// (land) left as they are, rows 0 and nj-1 fixed. The result is bit-identical to
+/// sweeping rows in ascending j and points in ascending i, sweep after
+/// sweep. Point (i, j) of sweep t reads the sweep-t values at (i-1, j) and
+/// (i, j-1) and the sweep-(t-1) values at (i+1, j) and (i, j+1); the wrap
+/// reads the old (nlon-1, j) at i = 0 and the new (0, j) at i = nlon-1.
+/// Giving interior row J = j-1 at sweep t the wave J + 2t honours all of
+/// that: a row's three producers run in earlier waves, and rows j+1 of
+/// sweep t and j-1 of sweep t+1, which both read row j's sweep-t values,
+/// run in the wave between row j's sweeps t and t+1. Rows of one wave read
+/// no row the wave writes, so they advance side by side as independent
+/// dependency chains; each point still sees the same inputs and the same
+/// operations, in the same order. Allocates nothing.
+void sor_sweeps(Array2D<double>& psi, const Array2D<double>& forcing,
+                const Array2D<int>& ocean, int sweeps, double omega);
+
 class Mom {
 public:
   Mom(const MomConfig& cfg, sxs::Node& node);
@@ -102,6 +120,8 @@ public:
   double checkpoint_bytes() const;
 
 private:
+  /// The rigid-lid solve: sor_sweeps (wavefront-ordered, bit-identical to
+  /// the row-by-row sweep), then the residual and barotropic velocities.
   void solve_barotropic();
   void baroclinic_step();
   void compute_diagnostics();

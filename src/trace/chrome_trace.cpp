@@ -62,8 +62,8 @@ void write_chrome_trace(std::ostream& os, const stream::SxtFile& file) {
   os << "{\"traceEvents\":[\n";
   bool first = true;
 
-  // Metadata: one process_name per distinct pid (first track wins), one
-  // thread_name per track, plus the drop marker.
+  // Metadata: one process_name per distinct pid (first track wins) and
+  // one thread_name per track.
   int last_named_pid = -1;
   for (const stream::TrackData& t : file.tracks) {
     if (!exported(t)) continue;
@@ -72,13 +72,6 @@ void write_chrome_trace(std::ostream& os, const stream::SxtFile& file) {
       last_named_pid = t.pid;
     }
     write_metadata(os, "thread_name", t.pid, t.tid, t.thread_name, first);
-    if (t.dropped > 0) {
-      if (!first) os << ",\n";
-      first = false;
-      os << R"({"name":"trace_dropped_spans","ph":"M","pid":)" << t.pid
-         << R"(,"tid":)" << t.tid << R"(,"args":{"dropped":)" << t.dropped
-         << "}}";
-    }
   }
 
   for (const stream::TrackData& t : file.tracks) {

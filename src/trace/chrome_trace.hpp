@@ -9,9 +9,6 @@
 //   * one pid per node (process_name metadata, e.g. "node0"),
 //   * one tid per track within the node (thread_name metadata, "cpu3",
 //     "runtime", "sfs", "scheduler", ...),
-//   * a track whose sink had to discard spans gets a trace_dropped_spans
-//     metadata event ({"dropped":N}), so a truncated trace never reads as
-//     a short run,
 //   * every recorded span becomes a complete event (ph "X") whose name is
 //     the op tag and whose cat is the Category name, with ts/dur in
 //     microseconds of simulated time (ticks * seconds_per_tick * 1e6).

@@ -1,10 +1,10 @@
 #pragma once
-// The .sxt binary streaming trace format, version 2.
+// The .sxt binary streaming trace format, version 3.
 //
 // One file = one traced run. Layout (all integers are LEB128 varints from
 // varint.hpp unless noted; byte order of fixed fields is little-endian):
 //
-//   [header]   magic "SXT1" (4 bytes), u32 version = 2, u64 reserved = 0
+//   [header]   magic "SXT1" (4 bytes), u32 version = 3, u64 reserved = 0
 //   [chunk]*   a 0x01 marker byte, then
 //                varint track_id      index into the footer's track table
 //                varint epoch         Collector::reset generation; only the
@@ -26,7 +26,6 @@
 //                       the Chrome exporter's empty-CPU-track rule)
 //                varint final_epoch
 //                varint live_records  records in the final epoch
-//                varint dropped       spans the sink had to discard
 //                varint tag_count, then per tag: varint len + bytes
 //              then varint total_chunks, varint total_records (all
 //              epochs), varint total_payload_bytes
@@ -52,11 +51,12 @@
 // any layout change; readers reject versions they do not know
 // ("sxt: unsupported version") rather than guessing. Version 2 dropped
 // version 1's per-track max_spans footer varint (the span cap of an
-// in-memory buffer that no longer exists). Unknown footer flag bits are
-// reserved-zero and readers must ignore them. Drop semantics: a sink
-// whose chunk handoff fails (the file write failed) counts the spans in
-// `dropped` instead of blocking the charge path; the Chrome exporter
-// surfaces the count as a trace_dropped_spans metadata event.
+// in-memory buffer that no longer exists); version 3 dropped version 2's
+// per-track `dropped` varint, which no readable file could carry non-zero.
+// Unknown footer flag bits are reserved-zero and readers must ignore them.
+// A file never loses spans silently: a failed chunk hand-off (the file
+// write failed) latches the writer's failure, finalize() then writes no
+// footer and returns false, and the bench harness fails the run.
 
 #include <cstddef>
 #include <cstdint>
@@ -70,7 +70,7 @@ static_assert(kCategoryCount <= 16,
 
 inline constexpr char kMagic[4] = {'S', 'X', 'T', '1'};
 inline constexpr char kTrailer[4] = {'S', 'X', 'T', 'E'};
-inline constexpr std::uint32_t kVersion = 2;
+inline constexpr std::uint32_t kVersion = 3;
 
 inline constexpr std::uint8_t kChunkMarker = 0x01;
 inline constexpr std::uint8_t kEndMarker = 0x00;

@@ -139,7 +139,6 @@ private:
       track.skip_if_empty = (flags & kFlagSkipIfEmpty) != 0;
       track.final_epoch = varint();
       const std::uint64_t live_records = varint();
-      track.dropped = varint();
       const std::uint64_t tag_count = varint();
       track.tags.reserve(static_cast<std::size_t>(tag_count));
       for (std::uint64_t t = 0; t < tag_count; ++t) {

@@ -1,5 +1,5 @@
 #pragma once
-// Reader — offline parser for .sxt files (format.hpp, version 2).
+// Reader — offline parser for .sxt files (format.hpp, version 3).
 //
 // Strict by design: any structural damage — truncation, a bad marker, a
 // corrupt entropy stream, a record count that disagrees with the footer —
@@ -32,7 +32,6 @@ struct TrackData {
   double seconds_per_tick = 1.0;
   bool skip_if_empty = false;
   std::uint64_t final_epoch = 0;
-  std::uint64_t dropped = 0;
   std::vector<std::string> tags;
   std::vector<RawRecord> spans;
 };

@@ -16,7 +16,6 @@ TrackSink::TrackSink(Writer* writer, std::uint32_t id,
 void TrackSink::on_reset() {
   fill_ = 0;
   live_records_ = 0;
-  dropped_ = 0;
   ++epoch_;
 }
 
@@ -24,11 +23,8 @@ void TrackSink::flush() {
   if (fill_ == 0) return;
   const std::size_t raw_len = encode_records(ring_.data(), fill_,
                                              encode_buf_.data());
-  if (!writer_->append_chunk(id_, epoch_, seq_, fill_, encode_buf_.data(),
-                             raw_len)) {
-    dropped_ += fill_;
-    live_records_ -= fill_;
-  }
+  writer_->append_chunk(id_, epoch_, seq_, fill_, encode_buf_.data(),
+                        raw_len);
   ++seq_;
   fill_ = 0;
 }

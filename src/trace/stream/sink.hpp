@@ -18,9 +18,10 @@
 // reset become dead weight that Writer::finalize compacts away — the
 // converted trace shows the spans since the last reset.
 //
-// Drops are counted, never blocking: when a file write has failed (or the
-// writer is already finalised), the chunk's spans are discarded and
-// dropped() grows.
+// A hand-off never blocks the charge path on a failed file: the writer
+// latches the failure and the spans are discarded, but the run cannot
+// pass for a complete trace — finalize() writes no footer and returns
+// false. Handing off a chunk after finalize() is a precondition error.
 
 #include <array>
 #include <cstddef>
@@ -54,8 +55,6 @@ public:
   /// Collector::reset hook: abandon pending records, start a new epoch.
   void on_reset();
 
-  /// Spans discarded (writer missing or failed) since the last reset.
-  std::uint64_t dropped() const { return dropped_; }
   /// Records staged or written in the current epoch.
   std::uint64_t live_records() const { return live_records_; }
   std::uint64_t epoch() const { return epoch_; }
@@ -78,7 +77,6 @@ private:
   std::uint64_t epoch_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t live_records_ = 0;
-  std::uint64_t dropped_ = 0;
   const char* last_tag_ = nullptr;
   std::uint32_t last_tag_id_ = 0;
   /// Open-addressed identity hash (pointer keys, linear probing). Tag

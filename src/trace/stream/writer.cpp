@@ -99,12 +99,13 @@ std::size_t chunk_header(std::uint8_t* header, std::uint32_t track_id,
 
 }  // namespace
 
-bool Writer::append_chunk(std::uint32_t track_id, std::uint64_t epoch,
+void Writer::append_chunk(std::uint32_t track_id, std::uint64_t epoch,
                           std::uint64_t seq, std::size_t record_count,
                           const std::uint8_t* payload,
                           std::size_t payload_bytes) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (failed_ || finalized_) return false;
+  NCAR_REQUIRE(!finalized_, "trace stream chunk handed off after finalize");
+  if (failed_) return;
 
   std::uint8_t header[2 + 6 * kMaxVarintBytes];
   const std::size_t pos =
@@ -118,13 +119,12 @@ bool Writer::append_chunk(std::uint32_t track_id, std::uint64_t epoch,
               static_cast<std::streamsize>(payload_bytes));
   if (!file_) {
     failed_ = true;
-    return false;
+    return;
   }
   index_.push_back({write_offset_, pos + payload_bytes, track_id, epoch, seq,
                     record_count, payload_bytes});
   write_offset_ += pos + payload_bytes;
   total_records_ += record_count;
-  return true;
 }
 
 bool Writer::rewrite_stream(std::uint64_t& stream_end) {
@@ -171,7 +171,7 @@ bool Writer::rewrite_stream(std::uint64_t& stream_end) {
         e.length = pos + packed.size();
         e.payload_bytes = packed.size();
       } else if (e.offset != dst) {
-        // Raw chunk sliding down past dropped predecessors: plain copy.
+        // Raw chunk sliding down past dead predecessors: plain copy.
         raw.resize(e.length);
         file_.seekg(static_cast<std::streamoff>(e.offset));
         file_.read(reinterpret_cast<char*>(raw.data()),
@@ -207,7 +207,6 @@ bool Writer::finalize() {
   tail.push_back(kEndMarker);
   append_varint(tail, specs_.size());
   stats_.events = 0;
-  stats_.dropped = 0;
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     const TrackSpec& spec = specs_[i];
     const TrackSink& sink = *sinks_[i];
@@ -219,11 +218,9 @@ bool Writer::finalize() {
     tail.push_back(spec.skip_if_empty ? kFlagSkipIfEmpty : 0);
     append_varint(tail, sink.epoch());
     append_varint(tail, sink.live_records());
-    append_varint(tail, sink.dropped());
     append_varint(tail, sink.tags().size());
     for (const std::string& tag : sink.tags()) append_string(tail, tag);
     stats_.events += sink.live_records();
-    stats_.dropped += sink.dropped();
   }
   append_varint(tail, stats_.chunks);
   append_varint(tail, total_records_);

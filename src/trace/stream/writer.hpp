@@ -45,7 +45,6 @@ public:
 
   struct Stats {
     std::uint64_t events = 0;      ///< live records across all tracks
-    std::uint64_t dropped = 0;     ///< spans the sinks had to discard
     std::uint64_t chunks = 0;      ///< chunks surviving compaction
     std::uint64_t file_bytes = 0;  ///< final size on disk
   };
@@ -78,10 +77,10 @@ private:
   Writer(const std::string& path, std::fstream file,
          std::size_t chunk_records, bool pack);
 
-  /// Sink handoff: write one raw (stage-1) chunk. Returns false (and
-  /// latches the failed state) when the stream errors; the sink counts
-  /// the drop.
-  bool append_chunk(std::uint32_t track_id, std::uint64_t epoch,
+  /// Sink handoff: write one raw (stage-1) chunk. A stream error latches
+  /// the failed state, so finalize() returns false; after a failure the
+  /// chunk is discarded. Throws precondition_error after finalize().
+  void append_chunk(std::uint32_t track_id, std::uint64_t epoch,
                     std::uint64_t seq, std::size_t record_count,
                     const std::uint8_t* payload, std::size_t payload_bytes);
 

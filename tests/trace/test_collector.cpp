@@ -98,7 +98,6 @@ TEST(Collector, ZeroDurationSpansAreSkipped) {
   c.span(Category::Scalar, 1.0, 0.0, "zero");
   c.span(Category::Scalar, 1.0, -1.0, "negative");
   EXPECT_EQ(sink.track.live_records(), 0u);
-  EXPECT_EQ(sink.track.dropped(), 0u);
   c.set_stream_sink(nullptr);
 }
 

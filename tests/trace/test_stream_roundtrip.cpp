@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "trace/category.hpp"
 #include "trace/stream/format.hpp"
 #include "trace/stream/reader.hpp"
@@ -111,7 +112,6 @@ TEST(StreamRoundTrip, SpansSpecsAndTagsSurvive) {
   runtime.record(Category::Barrier, 5.0, 2.0, "barrier");
   ASSERT_TRUE(writer->finalize());
   EXPECT_EQ(writer->stats().events, 101u);
-  EXPECT_EQ(writer->stats().dropped, 0u);
 
   const SxtFile file = read_sxt_file(path);
   ASSERT_EQ(file.tracks.size(), 2u);
@@ -251,23 +251,40 @@ TEST(StreamRoundTrip, PackedAndRawFilesParseIdentically) {
   EXPECT_EQ(bytes[first_chunk_layout(bytes).encoding_pos], kEncodingEntropy);
 }
 
-TEST(StreamRoundTrip, SinkCountsSpansItCannotHandOff) {
-  // A chunk the writer refuses (here: already finalised) is counted in
-  // dropped(), never blocked on; a reset starts the count over.
+TEST(StreamRoundTrip, HandOffAfterFinalizeThrows) {
+  // Spans recorded into a finalised writer could only be lost: the sink's
+  // chunk hand-off is a precondition error, not a silent drop.
   Writer::Options opt;
   opt.chunk_records = 4;
   auto writer = Writer::open(temp_path("closed.sxt"), opt);
   ASSERT_NE(writer, nullptr);
   TrackSink& sink = writer->add_track({});
   ASSERT_TRUE(writer->finalize());
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < 3; ++i) {
     sink.record(Category::Scalar, i * 1.0, 1.0, "late");
   }
-  EXPECT_EQ(sink.dropped(), 4u);       // one refused chunk
-  EXPECT_EQ(sink.live_records(), 2u);  // still staged in the ring
-  sink.on_reset();
-  EXPECT_EQ(sink.dropped(), 0u);
-  EXPECT_EQ(writer->stats().dropped, 0u);  // the footer saw no drops
+  EXPECT_THROW(sink.record(Category::Scalar, 3.0, 1.0, "late"),
+               ncar::precondition_error);
+}
+
+TEST(StreamRoundTrip, FailedHandOffFailsFinalize) {
+  // Every write to /dev/full fails. The chunks below outgrow the file
+  // buffer, so the sinks' hand-offs themselves hit the failure; the
+  // writer latches it, writes no footer and finalize() reports it.
+  Writer::Options opt;
+  opt.chunk_records = 4096;
+  opt.pack = false;
+  auto writer = Writer::open("/dev/full", opt);
+  if (writer == nullptr) GTEST_SKIP() << "/dev/full cannot be opened";
+  TrackSink& sink = writer->add_track({});
+  double t = 0.0;
+  for (int i = 0; i < 3 * 4096; ++i) {
+    const double dur = 1.0 + 1e-3 * (i % 977);  // irregular: no 1-byte records
+    sink.record(Category::Scalar, t, dur, "op");
+    t += 2.0 * dur;
+  }
+  EXPECT_FALSE(writer->finalize());
+  EXPECT_FALSE(writer->finalize());  // idempotent, still failed
 }
 
 std::vector<std::uint8_t> small_valid_file(const std::string& path) {
@@ -296,6 +313,8 @@ TEST(StreamReject, StructuralDamageRaisesExactErrors) {
 
   auto bad_version = good;
   bad_version[4] = 99;
+  expect_rejected(bad_version, "sxt: unsupported version");
+  bad_version[4] = 2;  // the layout before the footer lost `dropped`
   expect_rejected(bad_version, "sxt: unsupported version");
 
   const std::vector<std::uint8_t> truncated(good.begin(), good.end() - 1);

@@ -51,11 +51,9 @@ int stats(const std::string& in_path) {
       ncar::trace::stream::read_sxt_file(in_path);
 
   std::uint64_t events = 0;
-  std::uint64_t dropped = 0;
   std::size_t tracks = 0;
   for (const ncar::trace::stream::TrackData& t : file.tracks) {
     events += t.spans.size();
-    dropped += t.dropped;
     if (!(t.skip_if_empty && t.spans.empty())) ++tracks;
   }
 
@@ -81,8 +79,6 @@ int stats(const std::string& in_path) {
               static_cast<unsigned long long>(file.stats.total_chunks));
   std::printf("recorded (epochs): %llu\n",
               static_cast<unsigned long long>(file.stats.total_records));
-  std::printf("dropped spans:     %llu\n",
-              static_cast<unsigned long long>(dropped));
   return 0;
 }
 
