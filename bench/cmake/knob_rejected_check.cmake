@@ -1,9 +1,11 @@
-# Rejection check for a malformed runtime knob.
+# Rejection check for a malformed runtime knob or command-line option.
 #
 # Each SX4NCAR_* knob a bench main reads has one strict parser that throws
 # ncar::config_error on a value it does not know; BenchReporter turns that
-# into exit 2 with a message naming the knob. This runs BENCH_BIN with
-# KNOB=VALUE and passes only when the run exits 2 and its output names the
+# into exit 2 with a message naming the knob, and does the same for a
+# malformed option value. This runs BENCH_BIN with KNOB=VALUE in its
+# environment, or with the arguments `KNOB VALUE` when KNOB starts with
+# "--", and passes only when the run exits 2 and its output names the
 # knob; any other exit, a crash included, fails.
 #
 # Required -D variables: BENCH_BIN, BENCH_NAME, OUT_DIR, KNOB, VALUE.
@@ -16,12 +18,20 @@ endforeach()
 
 file(MAKE_DIRECTORY ${OUT_DIR})
 
+if(KNOB MATCHES "^--")
+  set(knob_env "")
+  set(knob_args ${KNOB} ${VALUE})
+else()
+  set(knob_env ${KNOB}=${VALUE})
+  set(knob_args "")
+endif()
+
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env
-    ${KNOB}=${VALUE}
+    ${knob_env}
     SX4NCAR_BENCH_FULL=
     ${BENCH_BIN} --deterministic
-      --json ${OUT_DIR}/${BENCH_NAME}.${KNOB}.json
+      --json ${OUT_DIR}/${BENCH_NAME}.${KNOB}.json ${knob_args}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE stdout
   ERROR_VARIABLE stderr)

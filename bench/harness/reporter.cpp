@@ -1,6 +1,7 @@
 #include "harness/reporter.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +36,22 @@ namespace {
   std::exit(exit_code);
 }
 
+/// --tol's value: all of `text` as a finite decimal number >= 0, else a
+/// usage error (exit 2).
+double parse_tol(const std::string& name, const std::string& text) {
+  double tol = -1.0;
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, tol);
+  if (ec != std::errc() || end != last || !std::isfinite(tol) || tol < 0.0) {
+    std::fprintf(stderr,
+                 "%s: --tol %s is invalid: expected a finite decimal "
+                 "number >= 0\n",
+                 name.c_str(), text.c_str());
+    usage(name, 2);
+  }
+  return tol;
+}
+
 }  // namespace
 
 BenchReporter::BenchReporter(std::string name, int argc, char** argv)
@@ -58,7 +75,7 @@ BenchReporter::BenchReporter(std::string name, int argc, char** argv)
     if (arg == "--json") json_path_ = value();
     else if (arg == "--results-dir") results_dir_ = value();
     else if (arg == "--baseline-dir") baseline_dir_ = value();
-    else if (arg == "--tol") tol_ = std::atof(value().c_str());
+    else if (arg == "--tol") tol_ = parse_tol(name_, value());
     else if (arg == "--list") list_ = true;
     else if (arg == "--ci-check") ci_check_ = true;
     else if (arg == "--deterministic") deterministic_ = true;

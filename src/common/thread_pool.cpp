@@ -12,16 +12,19 @@
 
 namespace ncar {
 
+// The shared state of one parallel_for call. It lives on the caller's
+// stack: the caller unlinks it once every index is claimed, then returns
+// only after the last attached worker has let go of it.
 struct ThreadPool::Batch {
-  Batch(int n_in, const std::function<void(int)>& fn_in)
-      : n(n_in), fn(&fn_in), remaining(n_in) {}
+  Batch(int n_in, FunctionRef<void(int)> fn_in) : n(n_in), fn(fn_in) {}
 
   const int n;
-  const std::function<void(int)>* fn;
+  const FunctionRef<void(int)> fn;
   std::atomic<int> next{0};
-  std::atomic<int> remaining;
-  std::mutex mu;
-  std::condition_variable done;
+  // The rest is guarded by the pool's mu_.
+  Batch* queued_next = nullptr;
+  int attached = 0;  ///< workers that may still touch this batch
+  std::condition_variable detached;
   std::exception_ptr error;
   int error_index = std::numeric_limits<int>::max();
 };
@@ -43,63 +46,60 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::run_index(Batch& b, int i) {
-  try {
-    (*b.fn)(i);
-  } catch (...) {
-    std::lock_guard<std::mutex> lk(b.mu);
-    if (i < b.error_index) {
-      b.error_index = i;
-      b.error = std::current_exception();
-    }
-  }
-  if (b.remaining.fetch_sub(1) == 1) {
-    // Take the batch mutex so the notify cannot slip between the waiter's
-    // predicate check and its wait.
-    std::lock_guard<std::mutex> lk(b.mu);
-    b.done.notify_all();
-  }
-}
-
 void ThreadPool::claim_and_run(Batch& b) {
   for (;;) {
     const int i = b.next.fetch_add(1);
     if (i >= b.n) return;
-    run_index(b, i);
+    try {
+      b.fn(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (i < b.error_index) {
+        b.error_index = i;
+        b.error = std::current_exception();
+      }
+    }
   }
 }
 
-void ThreadPool::remove(const std::shared_ptr<Batch>& b) {
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto it = std::find(active_.begin(), active_.end(), b);
-  if (it != active_.end()) active_.erase(it);
+void ThreadPool::unlink(Batch& b) {
+  for (Batch** p = &queue_; *p != nullptr; p = &(*p)->queued_next) {
+    if (*p == &b) {
+      *p = b.queued_next;
+      return;
+    }
+  }
 }
 
 void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    std::shared_ptr<Batch> b;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [&] { return stop_ || !active_.empty(); });
-      if (stop_) return;
-      b = active_.front();
-    }
-    claim_and_run(*b);
-    remove(b);
+    cv_.wait(lk, [&] { return stop_ || queue_ != nullptr; });
+    if (stop_) return;
+    Batch& b = *queue_;
+    ++b.attached;
+    lk.unlock();
+    claim_and_run(b);
+    lk.lock();
+    // Every index is claimed: no other worker need attach any more.
+    unlink(b);
+    if (--b.attached == 0) b.detached.notify_one();
   }
 }
 
-void ThreadPool::parallel_for(int n, const std::function<void(int)>& fn) {
+void ThreadPool::parallel_for(int n, FunctionRef<void(int)> fn) {
   if (n <= 0) return;
   if (workers_.empty() || n == 1) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
   }
 
-  auto b = std::make_shared<Batch>(n, fn);
+  Batch b(n, fn);
   {
     std::lock_guard<std::mutex> lk(mu_);
-    active_.push_back(b);
+    Batch** tail = &queue_;
+    while (*tail != nullptr) tail = &(*tail)->queued_next;
+    *tail = &b;
   }
   // Waking every worker for a two-index batch is pure contention; wake only
   // as many as could possibly claim an index alongside the caller.
@@ -107,13 +107,15 @@ void ThreadPool::parallel_for(int n, const std::function<void(int)>& fn) {
       std::min(n - 1, static_cast<int>(workers_.size()));
   for (int k = 0; k < wake; ++k) cv_.notify_one();
 
-  claim_and_run(*b);
-  remove(b);
+  claim_and_run(b);
   {
-    std::unique_lock<std::mutex> lk(b->mu);
-    b->done.wait(lk, [&] { return b->remaining.load() == 0; });
+    // Every index is claimed; once no worker is attached, every claimed
+    // index has also finished and the batch may leave the stack.
+    std::unique_lock<std::mutex> lk(mu_);
+    unlink(b);
+    b.detached.wait(lk, [&] { return b.attached == 0; });
   }
-  if (b->error) std::rethrow_exception(b->error);
+  if (b.error) std::rethrow_exception(b.error);
 }
 
 int ThreadPool::threads_from_env(const char* value) {
@@ -151,7 +153,7 @@ int lane_count(const ThreadPool* pool) {
 }  // namespace
 
 void parallel_blocks(ThreadPool* pool, int n,
-                     const std::function<void(int, int, int)>& fn) {
+                     FunctionRef<void(int, int, int)> fn) {
   if (n <= 0) return;
   const int lanes = std::min(lane_count(pool), n);
   if (lanes == 1) {

@@ -16,14 +16,12 @@
 // are confined to per-index state (see parallel_blocks).
 
 #include <condition_variable>
-#include <deque>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/arena.hpp"
+#include "common/function_ref.hpp"
 
 namespace ncar {
 
@@ -45,7 +43,7 @@ public:
   /// calls have completed. The calling thread participates. If any calls
   /// throw, the exception thrown by the *lowest* index is rethrown (after
   /// every claimed index has finished), so propagation is deterministic.
-  void parallel_for(int n, const std::function<void(int)>& fn);
+  void parallel_for(int n, FunctionRef<void(int)> fn);
 
   /// The process-wide pool, lazily created with `configured_host_threads()`
   /// threads on first use.
@@ -65,14 +63,15 @@ private:
   struct Batch;
 
   void worker_loop();
-  static void run_index(Batch& b, int i);
-  static void claim_and_run(Batch& b);
-  void remove(const std::shared_ptr<Batch>& b);
+  void claim_and_run(Batch& b);
+  void unlink(Batch& b);
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::shared_ptr<Batch>> active_;
+  /// Batches that may still have unclaimed indices, oldest first, linked
+  /// through Batch::queued_next. Each lives on its caller's stack.
+  Batch* queue_ = nullptr;
   bool stop_ = false;
 };
 
@@ -86,7 +85,7 @@ private:
 /// among the blocks of one call: per-lane scratch indexed by it is never
 /// shared.
 void parallel_blocks(ThreadPool* pool, int n,
-                     const std::function<void(int, int, int)>& fn);
+                     FunctionRef<void(int, int, int)> fn);
 
 /// One scratch Arena per lane of parallel_blocks, so lanes never share
 /// workspace. fit() is the only call that allocates, and only when the

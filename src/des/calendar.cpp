@@ -1,5 +1,6 @@
 #include "des/calendar.hpp"
 
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -9,39 +10,60 @@ namespace ncar::des {
 EventId Calendar::schedule(Seconds time, int priority,
                            std::function<void()> fn) {
   NCAR_REQUIRE(static_cast<bool>(fn), "event needs a handler");
+  std::uint32_t s = 0;
+  if (free_slots_.empty()) {
+    NCAR_REQUIRE(slots_.size() < std::numeric_limits<std::uint32_t>::max(),
+                 "too many pending events");
+    s = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    s = free_slots_.back();
+    free_slots_.pop_back();
+  }
   Entry e;
   e.key = EventKey{time, priority, next_fifo_++};
-  e.id = next_id_++;
+  e.id = EventId{std::uint64_t{slots_[s].generation} << 32 | s};
   e.fn = std::move(fn);
-  const EventId id{e.id};
+  const EventId id = e.id;
   heap_.push_back(std::move(e));
-  slot_[id.id] = heap_.size() - 1;
   sift_up(heap_.size() - 1);
   ++scheduled_;
   return id;
 }
 
+const Calendar::Slot* Calendar::find(EventId id) const {
+  const std::uint32_t s = slot_index(id);
+  if (s >= slots_.size() || slots_[s].generation != id.id >> 32) {
+    return nullptr;
+  }
+  return &slots_[s];
+}
+
+void Calendar::release(EventId id) {
+  const std::uint32_t s = slot_index(id);
+  if (++slots_[s].generation == 0) slots_[s].generation = 1;
+  free_slots_.push_back(s);
+}
+
 bool Calendar::cancel(EventId id) {
-  const auto it = slot_.find(id.id);
-  if (it == slot_.end()) return false;
+  const Slot* slot = find(id);
+  if (slot == nullptr) return false;
   Entry dropped;
-  remove_at(it->second, dropped);
+  remove_at(slot->heap_index, dropped);
+  release(id);
   ++cancelled_;
   return true;
 }
 
 bool Calendar::reschedule(EventId id, Seconds time) {
-  const auto it = slot_.find(id.id);
-  if (it == slot_.end()) return false;
+  const Slot* slot = find(id);
+  if (slot == nullptr) return false;
+  // The event keeps its slot, so `id` stays valid.
   Entry e;
-  const std::size_t i = remove_at(it->second, e);
+  remove_at(slot->heap_index, e);
   e.key.time = time;
   e.key.fifo = next_fifo_++;  // fresh FIFO position, like cancel + schedule
-  // Reinsert; `i` only tells us removal compacted the heap, the reinsert
-  // goes through the normal push path to keep one code path correct.
-  (void)i;
   heap_.push_back(std::move(e));
-  slot_[id.id] = heap_.size() - 1;
   sift_up(heap_.size() - 1);
   return true;
 }
@@ -50,8 +72,9 @@ Event Calendar::pop() {
   NCAR_REQUIRE(!heap_.empty(), "pop on an empty calendar");
   Entry e;
   remove_at(0, e);
+  release(e.id);
   ++popped_;
-  return Event{e.key, EventId{e.id}, std::move(e.fn)};
+  return Event{e.key, e.id, std::move(e.fn)};
 }
 
 const EventKey& Calendar::next_key() const {
@@ -60,7 +83,7 @@ const EventKey& Calendar::next_key() const {
 }
 
 void Calendar::place(std::size_t i, Entry&& e) {
-  slot_[e.id] = i;
+  slots_[slot_index(e.id)].heap_index = static_cast<std::uint32_t>(i);
   heap_[i] = std::move(e);
 }
 
@@ -89,13 +112,11 @@ void Calendar::sift_down(std::size_t i) {
   place(i, std::move(e));
 }
 
-std::size_t Calendar::remove_at(std::size_t i, Entry& out) {
+void Calendar::remove_at(std::size_t i, Entry& out) {
   out = std::move(heap_[i]);
-  slot_.erase(out.id);
   const std::size_t last = heap_.size() - 1;
   if (i != last) {
-    heap_[i] = std::move(heap_[last]);
-    slot_[heap_[i].id] = i;
+    place(i, std::move(heap_[last]));
     heap_.pop_back();
     // The moved-in entry may need to go either way relative to `i`.
     if (i > 0 && heap_[i].key < heap_[(i - 1) / 2].key) {
@@ -106,16 +127,21 @@ std::size_t Calendar::remove_at(std::size_t i, Entry& out) {
   } else {
     heap_.pop_back();
   }
-  return i;
 }
 
 bool Calendar::validate() const {
-  if (slot_.size() != heap_.size()) return false;
+  if (slots_.size() - free_slots_.size() != heap_.size()) return false;
+  std::vector<bool> taken(slots_.size(), false);
   for (std::size_t i = 0; i < heap_.size(); ++i) {
-    const auto it = slot_.find(heap_[i].id);
-    if (it == slot_.end() || it->second != i) return false;
+    const Slot* slot = find(heap_[i].id);
+    if (slot == nullptr || slot->heap_index != i) return false;
+    taken[slot_index(heap_[i].id)] = true;
     if (i > 0 && heap_[i].key < heap_[(i - 1) / 2].key) return false;
     if (!heap_[i].fn) return false;
+  }
+  for (const std::uint32_t s : free_slots_) {
+    if (s >= slots_.size() || taken[s]) return false;
+    taken[s] = true;
   }
   return true;
 }

@@ -8,16 +8,17 @@
 //
 //   * pop order is nondecreasing (time, priority, fifo) — deterministic
 //     FIFO tie-break, never dependent on heap internals;
-//   * cancel and reschedule are O(log n) true removals (an id -> heap-slot
-//     index is maintained through every sift), so memory stays bounded by
-//     the number of *live* events — no tombstones that a year-scale run
-//     would accumulate;
-//   * validate() checks the heap invariant and the id map after any
+//   * cancel and reschedule are O(log n) true removals (each event owns a
+//     slot that holds its heap index through every sift), so memory stays
+//     bounded by the number of *live* events — no tombstones that a
+//     year-scale run would accumulate. A freed slot goes on a free list and
+//     bumps its generation, so a handle to the event that held it goes
+//     stale;
+//   * validate() checks the heap invariant and the slot table after any
 //     operation; the property tests call it after every single op.
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "des/event.hpp"
@@ -52,7 +53,7 @@ public:
   Seconds next_time() const { return next_key().time; }
 
   /// True when the event is still pending.
-  bool pending(EventId id) const { return slot_.count(id.id) != 0; }
+  bool pending(EventId id) const { return find(id) != nullptr; }
 
   // --- lifetime counters (deterministic; the year bench reports them) -----
   std::uint64_t scheduled() const { return scheduled_; }
@@ -60,24 +61,39 @@ public:
   std::uint64_t popped() const { return popped_; }
 
   /// Full structural check: heap order on every parent/child edge plus
-  /// id-map consistency. O(n); meant for tests, not hot paths.
+  /// slot-table consistency. O(n); meant for tests, not hot paths.
   bool validate() const;
 
 private:
   struct Entry {
     EventKey key;
-    std::uint64_t id = 0;
+    EventId id;
     std::function<void()> fn;
   };
+  /// An event's slot: its heap index while the event is pending. Freeing a
+  /// slot bumps its generation, which retires every handle issued for it.
+  struct Slot {
+    std::uint32_t generation = 1;
+    std::uint32_t heap_index = 0;
+  };
+
+  static std::uint32_t slot_index(EventId id) {
+    return static_cast<std::uint32_t>(id.id);
+  }
+  /// The slot of a pending event, nullptr for a stale or null handle.
+  const Slot* find(EventId id) const;
+
+  /// Free the slot of a popped or cancelled event.
+  void release(EventId id);
 
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void place(std::size_t i, Entry&& e);
-  std::size_t remove_at(std::size_t i, Entry& out);
+  void remove_at(std::size_t i, Entry& out);
 
   std::vector<Entry> heap_;
-  std::unordered_map<std::uint64_t, std::size_t> slot_;  ///< id -> heap index
-  std::uint64_t next_id_ = 1;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_fifo_ = 1;
   std::uint64_t scheduled_ = 0;
   std::uint64_t cancelled_ = 0;

@@ -18,8 +18,11 @@
 
 namespace ncar::des {
 
-/// Handle to a scheduled event. Ids are unique over the lifetime of one
-/// Calendar and are never reused, so a stale handle is always detected.
+/// Handle to a scheduled event: the calendar slot the event occupies in the
+/// low 32 bits and the slot's generation, never 0, in the high 32. A slot
+/// freed by a pop or cancel takes the next generation before it is reused,
+/// so a stale handle is always detected (until one slot is reused 2^32
+/// times).
 struct EventId {
   std::uint64_t id = 0;  ///< 0 == "no event"
 

@@ -20,8 +20,8 @@ BytesPerSec Network::throughput_bytes_per_s() const {
 
 Seconds Network::data_transfer_seconds(Bytes bytes) const {
   NCAR_REQUIRE(bytes.value() >= 0, "negative transfer size");
-  return Seconds(cfg_.command_overhead_s + cfg_.rtt_s +
-                 bytes.value() / throughput_bytes_per_s().value());
+  return Seconds(cfg_.command_overhead_s + cfg_.rtt_s) +
+         bytes / throughput_bytes_per_s();
 }
 
 Seconds Network::command_seconds() const {

@@ -34,7 +34,7 @@ void Machine::set_thread_pool(ThreadPool* pool) {
 }
 
 double Machine::parallel(int nodes_used, int cpus_per_node_used,
-                         const std::function<void(int, int, Cpu&)>& body) {
+                         FunctionRef<void(int, int, Cpu&)> body) {
   NCAR_REQUIRE(nodes_used >= 1 && nodes_used <= node_count(),
                "node count for the region");
   const double start = elapsed_seconds();

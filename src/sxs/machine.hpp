@@ -4,10 +4,10 @@
 // case for the paper's benchmarks; multi-node is exercised by tests and the
 // IXS ablation bench.
 
-#include <functional>
 #include <memory>
 #include <vector>
 
+#include "common/function_ref.hpp"
 #include "sxs/execution_policy.hpp"
 #include "sxs/ixs.hpp"
 #include "sxs/machine_config.hpp"
@@ -40,7 +40,7 @@ public:
   /// Nodes run one after another, in node order, on the calling thread, each
   /// running its ranks inline (see Node::parallel) under either policy.
   double parallel(int nodes_used, int cpus_per_node_used,
-                  const std::function<void(int, int, Cpu&)>& body);
+                  FunctionRef<void(int, int, Cpu&)> body);
 
   /// All-to-all exchange of `bytes_per_node` across the first `nodes_used`
   /// nodes (spectral transposition and the like); advances their clocks.

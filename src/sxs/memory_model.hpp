@@ -38,7 +38,7 @@ public:
   double stride_conflict_factor(long stride) const;
 
   /// Full contiguous port width in 8-byte words per clock. Typed: the
-  /// dimension survives the public surface (sxsema sema-unit-leak);
+  /// dimension survives the public surface (sxlint unit-leak);
   /// internal pricing takes .value() at the point of arithmetic.
   Words port_words_per_clock() const {
     return to_words(cfg_.port_bytes_per_clock);

@@ -68,7 +68,7 @@ ThreadPool* Node::host_pool() const {
   return pool_ != nullptr ? pool_ : &ThreadPool::global();
 }
 
-double Node::parallel(int ncpu, const std::function<void(int, Cpu&)>& body) {
+double Node::parallel(int ncpu, FunctionRef<void(int, Cpu&)> body) {
   NCAR_REQUIRE(ncpu >= 1 && ncpu <= cpu_count(),
                "parallel width exceeds node CPU count");
   const int active = std::min(ncpu + external_active_, cpu_count());
@@ -123,7 +123,7 @@ double Node::parallel(int ncpu, const std::function<void(int, Cpu&)>& body) {
   return region;
 }
 
-double Node::serial(const std::function<void(Cpu&)>& body) {
+double Node::serial(FunctionRef<void(Cpu&)> body) {
   Cpu& c = *cpus_.front();
   const double before = c.cycles();
   c.set_trace_time_offset(cfg_.to_cycles(Seconds(elapsed_)).value() -

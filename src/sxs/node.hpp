@@ -11,10 +11,10 @@
 // (host_pool).
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
+#include "common/function_ref.hpp"
 #include "sxs/cpu.hpp"
 #include "sxs/execution_policy.hpp"
 #include "sxs/machine_config.hpp"
@@ -47,10 +47,10 @@ public:
   /// this node. If a body throws, its exception propagates and no later
   /// rank runs; every contention factor is restored to 1.0, and the node
   /// clock does not advance.
-  double parallel(int ncpu, const std::function<void(int, Cpu&)>& body);
+  double parallel(int ncpu, FunctionRef<void(int, Cpu&)> body);
 
   /// Run `body(cpu0)` serially on CPU 0; returns and advances by its time.
-  double serial(const std::function<void(Cpu&)>& body);
+  double serial(FunctionRef<void(Cpu&)> body);
 
   /// Simulated cost of one macrotask barrier among `ncpu` CPUs.
   double barrier_seconds(int ncpu) const;

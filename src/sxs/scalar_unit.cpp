@@ -49,7 +49,7 @@ Cycles ScalarUnit::cycles(const ScalarOp& op) const {
   const double issue_cycles =
       n * instr_per_iter / static_cast<double>(cfg_.scalar_issue_width);
 
-  return Cycles(issue_cycles + miss_cycles(op).value());
+  return Cycles(issue_cycles) + miss_cycles(op);
 }
 
 }  // namespace ncar::sxs

@@ -57,9 +57,9 @@ Cycles VectorUnit::cycles(const VectorOp& op) const {
   // The scalar unit issues ahead of the pipes, so instruction issue overlaps
   // execution of the previous strip; a loop is issue-bound only when issue is
   // the slowest stage.
-  return Cycles(cfg_.vector_startup_clocks +
-                std::max({arith_cycles, div_cycles, mem_cycles.value(),
-                          issue_cycles}));
+  return Cycles(cfg_.vector_startup_clocks) +
+         std::max({Cycles(arith_cycles), Cycles(div_cycles), mem_cycles,
+                   Cycles(issue_cycles)});
 }
 
 }  // namespace ncar::sxs

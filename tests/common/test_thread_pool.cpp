@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -95,6 +97,46 @@ TEST(ThreadPool, ReusableAcrossManyBatches) {
   EXPECT_EQ(total.load(), 200L * 16 * 15 / 2);
 }
 
+TEST(ThreadPool, BackToBackTinyBatchesOutliveLateWorkers) {
+  // Each batch lives on the caller's stack. A worker woken for one batch
+  // often attaches after the caller has claimed both indices itself; the
+  // caller must not return (and reuse that stack for the next batch) while
+  // such a worker still holds the batch.
+  ThreadPool pool(4);
+  long total = 0;
+  for (int rep = 0; rep < 10000; ++rep) {
+    int hits[2] = {0, 0};
+    pool.parallel_for(2, [&](int i) { hits[i] += rep + i; });
+    ASSERT_EQ(hits[0], rep);
+    ASSERT_EQ(hits[1], rep + 1);
+    total += hits[0] + hits[1];
+  }
+  EXPECT_EQ(total, 10000L * 9999 + 10000);
+}
+
+TEST(ThreadPool, ExceptionWaitsForLanesStillRunning) {
+  // Index 0 throws at once while the other lanes are still busy; the
+  // exception must surface only after every lane has finished with the
+  // batch.
+  ThreadPool pool(4);
+  for (int rep = 0; rep < 20; ++rep) {
+    std::vector<std::atomic<int>> finished(4);
+    try {
+      pool.parallel_for(4, [&](int i) {
+        if (i == 0) throw std::runtime_error("lane 0");
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        finished[static_cast<std::size_t>(i)] = 1;
+      });
+      FAIL() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "lane 0");
+    }
+    for (int i = 1; i < 4; ++i) {
+      EXPECT_EQ(finished[static_cast<std::size_t>(i)].load(), 1) << i;
+    }
+  }
+}
+
 TEST(ThreadPool, ThreadCountParsing) {
   const auto threads_from_env = &ThreadPool::threads_from_env;
   EXPECT_GE(threads_from_env(nullptr), 1);  // hardware width
@@ -142,6 +184,27 @@ TEST(ParallelBlocks, LanesCoverTheRangeInContiguousBlocks) {
             << "threads " << threads << " n " << n << " lane " << l;
       }
     }
+  }
+}
+
+TEST(ParallelBlocks, NestedInsideParallelFor) {
+  // A sweep point (parallel_for) steps a model whose numerics call
+  // parallel_blocks on the same pool.
+  ThreadPool pool(4);
+  const int outer = 12, n = 1000;
+  std::vector<long> sums(outer, 0);
+  pool.parallel_for(outer, [&](int o) {
+    std::vector<long> lane_sums(static_cast<std::size_t>(pool.thread_count()));
+    ncar::parallel_blocks(&pool, n, [&](int lane, int lo, int hi) {
+      for (int i = lo; i < hi; ++i) {
+        lane_sums[static_cast<std::size_t>(lane)] += i + o;
+      }
+    });
+    for (const long s : lane_sums) sums[static_cast<std::size_t>(o)] += s;
+  });
+  for (int o = 0; o < outer; ++o) {
+    EXPECT_EQ(sums[static_cast<std::size_t>(o)],
+              static_cast<long>(n) * (n - 1) / 2 + static_cast<long>(n) * o);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -89,6 +90,34 @@ TEST(CalendarTest, RescheduleStaleHandleFails) {
   const EventId a = cal.schedule(Seconds(1.0), [] {});
   EXPECT_TRUE(cal.cancel(a));
   EXPECT_FALSE(cal.reschedule(a, Seconds(2.0)));
+}
+
+TEST(CalendarTest, ReusedSlotRetiresTheOldHandle) {
+  Calendar cal;
+  const EventId old = cal.schedule(Seconds(1.0), [] {});
+  ASSERT_TRUE(cal.validate());
+  EXPECT_TRUE(cal.cancel(old));
+  ASSERT_TRUE(cal.validate());
+  // The new event takes the freed slot under a new generation.
+  const EventId fresh = cal.schedule(Seconds(2.0), [] {});
+  ASSERT_TRUE(cal.validate());
+  EXPECT_EQ(static_cast<std::uint32_t>(fresh.id),
+            static_cast<std::uint32_t>(old.id));
+  EXPECT_FALSE(fresh == old);
+  EXPECT_FALSE(cal.cancel(old));
+  ASSERT_TRUE(cal.validate());
+  EXPECT_FALSE(cal.pending(old));
+  ASSERT_TRUE(cal.validate());
+  EXPECT_FALSE(cal.reschedule(old, Seconds(0.5)));
+  ASSERT_TRUE(cal.validate());
+  // The stale handle touched nothing: the new event is intact.
+  EXPECT_TRUE(cal.pending(fresh));
+  EXPECT_EQ(cal.size(), 1u);
+  EXPECT_EQ(cal.next_time().value(), 2.0);
+  EXPECT_EQ(cal.pop().id, fresh);
+  ASSERT_TRUE(cal.validate());
+  EXPECT_FALSE(cal.pending(fresh));
+  EXPECT_FALSE(cal.pending(EventId{}));
 }
 
 // The battery: 5000 random schedule/cancel/reschedule/pop operations;

@@ -88,6 +88,91 @@ std::vector<fs::path> collect(const fs::path& dir,
   return out;
 }
 
+bool under(const fs::path& file, const fs::path& root, const char* prefix) {
+  return fs::relative(file, root).generic_string().rfind(prefix, 0) == 0;
+}
+
+/// One token of stripped source: an identifier or a single punctuation
+/// character, with the paren depth and the access of the scope it is in.
+struct Token {
+  std::size_t pos = 0;
+  std::string text;
+  int paren_depth = 0;
+  bool is_public = true;
+};
+
+/// Tokenise stripped source, tracking access sections with a brace stack:
+/// `class` opens private, `struct` opens public, an anonymous namespace is
+/// private, plain braces (namespaces, function bodies) inherit, and
+/// `public:` / `private:` / `protected:` labels flip the current scope.
+std::vector<Token> tokenize(const std::string& text) {
+  std::vector<Token> out;
+  int depth = 0;
+  std::vector<bool> is_public{true};  // file scope is public
+  int pending = -1;  // access for the next '{': 1 public, 0 private
+  for (std::size_t i = 0; i < text.size();) {
+    const char c = text[i];
+    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i + 1;
+    if (ident_char(c)) {
+      while (end < text.size() && ident_char(text[end])) ++end;
+    }
+    Token t{i, text.substr(i, end - i), depth, is_public.back()};
+    const std::string prev = out.empty() ? "" : out.back().text;
+    if (ident_char(c)) {
+      // `enum class` opens an enumerator list, not an access scope.
+      if (t.text == "class" && prev != "enum") pending = 0;
+      if (t.text == "struct" && prev != "enum") pending = 1;
+      // Access labels: the token must be followed by a lone ':'
+      // (':' ':' is a qualified name like std::vector).
+      if (end < text.size() && text[end] == ':' &&
+          (end + 1 >= text.size() || text[end + 1] != ':')) {
+        if (t.text == "public") is_public.back() = true;
+        if (t.text == "private" || t.text == "protected") {
+          is_public.back() = false;
+        }
+      }
+    }
+    if (c == '(') ++depth;
+    if (c == ')') depth = depth > 0 ? depth - 1 : 0;
+    if (c == '{') {
+      if (prev == "namespace") pending = 0;
+      is_public.push_back(pending == -1 ? is_public.back() : pending == 1);
+      pending = -1;
+    }
+    if (c == '}' && is_public.size() > 1) is_public.pop_back();
+    if (c == ';') pending = -1;  // forward declaration: no scope opened
+    out.push_back(std::move(t));
+    i = end;
+  }
+  return out;
+}
+
+/// Index of the bracket that closes the '(' or '{' at `open` (tk.size()
+/// when unbalanced).
+std::size_t match_forward(const std::vector<Token>& tk, std::size_t open) {
+  int depth = 0;
+  for (std::size_t k = open; k < tk.size(); ++k) {
+    if (tk[k].text == "(" || tk[k].text == "{") ++depth;
+    if ((tk[k].text == ")" || tk[k].text == "}") && --depth == 0) return k;
+  }
+  return tk.size();
+}
+
+/// Index of the '(' that the ')' at `close` closes (tk.size() when
+/// unbalanced).
+std::size_t match_backward(const std::vector<Token>& tk, std::size_t close) {
+  int depth = 0;
+  for (std::size_t k = close + 1; k-- > 0;) {
+    if (tk[k].text == ")") ++depth;
+    if (tk[k].text == "(" && --depth == 0) return k;
+  }
+  return tk.size();
+}
+
 }  // namespace
 
 std::string strip_comments_and_strings(const std::string& source) {
@@ -182,12 +267,53 @@ std::vector<Finding> check_nondeterminism(const fs::path& root) {
   static const char* const kBannedCalls[] = {
       "rand", "time", "clock", "drand48", "lrand48", "random", "getrusage",
   };
+  // Raw std random engines belong to the RNG layers alone (src/des/rng*,
+  // src/common/rng*), where streams are named and seeded; unordered
+  // containers belong nowhere, since their iteration order is unspecified
+  // and would leak into charged or serialized state.
+  static const char* const kEnginePrefixes[] = {"mt19937", "minstd_rand",
+                                                "ranlux"};
+  static const char* const kEngines[] = {
+      "knuth_b",
+      "default_random_engine",
+      "linear_congruential_engine",
+      "mersenne_twister_engine",
+      "subtract_with_carry_engine",
+      "discard_block_engine",
+      "independent_bits_engine",
+      "shuffle_order_engine",
+  };
+  const auto is_engine = [](const std::string& t) {
+    for (const char* p : kEnginePrefixes) {
+      if (t.rfind(p, 0) == 0) return true;
+    }
+    for (const char* e : kEngines) {
+      if (t == e) return true;
+    }
+    return false;
+  };
   std::vector<fs::path> files = collect(root / "src", ".cpp");
   const auto headers = collect(root / "src", ".hpp");
   files.insert(files.end(), headers.begin(), headers.end());
   std::vector<Finding> findings;
   for (const auto& file : files) {
     const std::string text = strip_comments_and_strings(read_file(file));
+    const bool rng_layer = under(file, root, "src/des/rng") ||
+                           under(file, root, "src/common/rng");
+    for (const Token& t : tokenize(text)) {
+      if (t.text.rfind("unordered_", 0) == 0) {
+        findings.push_back({"no-nondeterminism", file, line_of(text, t.pos),
+                            t.text +
+                                " has unspecified iteration order; use an "
+                                "ordered or indexed container"});
+      }
+      if (!rng_layer && is_engine(t.text)) {
+        findings.push_back({"no-nondeterminism", file, line_of(text, t.pos),
+                            "std random engine " + t.text +
+                                " outside src/des/rng* and src/common/rng*; "
+                                "draw from a named RNG stream"});
+      }
+    }
     for (const char* ident : kBannedIdents) {
       for (std::size_t pos = find_token(text, ident, 0);
            pos != std::string::npos; pos = find_token(text, ident, pos + 1)) {
@@ -277,55 +403,141 @@ std::vector<Finding> check_typed_units(const fs::path& root) {
   for (const char* dir : {"sxs", "machines", "iosim"}) {
     for (const auto& file : collect(root / "src" / dir, ".hpp")) {
       const std::string text = strip_comments_and_strings(read_file(file));
-      int depth = 0;
-      std::string prev_token;
-      bool adjacent = false;  // only whitespace between prev token and current
-      std::vector<bool> is_public{true};  // file scope is public
-      int pending = -1;  // access for the next '{': 1 public, 0 private
-      for (std::size_t i = 0; i < text.size();) {
-        const char c = text[i];
-        if (ident_char(c)) {
-          std::size_t end = i;
-          while (end < text.size() && ident_char(text[end])) ++end;
-          const std::string token = text.substr(i, end - i);
-          // `enum class` opens an enumerator list, not an access scope.
-          if (token == "class" && prev_token != "enum") pending = 0;
-          if (token == "struct" && prev_token != "enum") pending = 1;
-          // Access labels: the token must be followed by a lone ':'
-          // (':' ':' is a qualified name like std::vector).
-          if (end < text.size() && text[end] == ':' &&
-              (end + 1 >= text.size() || text[end + 1] != ':')) {
-            if (token == "public") is_public.back() = true;
-            if (token == "private" || token == "protected") {
-              is_public.back() = false;
-            }
+      const std::vector<Token> tokens = tokenize(text);
+      for (std::size_t k = 1; k < tokens.size(); ++k) {
+        const Token& t = tokens[k];
+        if (t.paren_depth > 0 && tokens[k - 1].text == "double" &&
+            is_banned_name(t.text) && t.is_public) {
+          findings.push_back(
+              {"typed-units", file, line_of(text, t.pos),
+               "public parameter `double " + t.text + "` in a src/" + dir +
+                   " header; use the ncar::Quantity types "
+                   "from common/quantity.hpp"});
+        }
+      }
+    }
+  }
+  return findings;
+}
+
+std::vector<Finding> check_unit_leak(const fs::path& root) {
+  // Two ways a dimension escapes in src/sxs, src/machines, src/iosim and
+  // src/des, sources and headers:
+  //   (a) a Seconds / Cycles (or Quantity<dim::Seconds|Cycles>) built from
+  //       an argument that unwraps a quantity with .value(): a clock
+  //       conversion belongs in MachineConfig::to_seconds / to_cycles, and
+  //       any other re-wrap is arithmetic the Quantity types already do;
+  //   (b) a public function declared to return a raw double, float or
+  //       uint64 whose return statement unwraps a quantity with .value().
+  // A function body is a '{' after ')' (or a trailing const/noexcept/
+  // override/final) outside any other body; access comes from the
+  // typed-units tracker. (b) skips out-of-line definitions
+  // (`double Foo::bar()`): their access is declared in the class, which a
+  // token scan of the .cpp does not see.
+  struct Scope {
+    bool body = false;        ///< a function body, or a block inside one
+    std::string name;         ///< the class or function that opened it
+    std::string owner;        ///< for a function body: its class
+    bool raw_public = false;  ///< body of a public raw-returning function
+  };
+  const auto unwraps = [](const std::vector<Token>& tk, std::size_t from,
+                          std::size_t to) {
+    to = std::min(to, tk.size());
+    for (std::size_t k = from + 1; k + 2 < to; ++k) {
+      if (tk[k].text == "value" &&
+          (tk[k - 1].text == "." || tk[k - 1].text == ">") &&
+          tk[k + 1].text == "(" && tk[k + 2].text == ")") {
+        return true;
+      }
+    }
+    return false;
+  };
+  std::vector<Finding> findings;
+  for (const char* dir : {"sxs", "machines", "iosim", "des"}) {
+    std::vector<fs::path> files = collect(root / "src" / dir, ".hpp");
+    const auto sources = collect(root / "src" / dir, ".cpp");
+    files.insert(files.end(), sources.begin(), sources.end());
+    for (const auto& file : files) {
+      const std::string text = strip_comments_and_strings(read_file(file));
+      const std::vector<Token> tk = tokenize(text);
+      std::vector<Scope> scopes{Scope{}};
+      std::string next_class;
+      for (std::size_t k = 0; k < tk.size(); ++k) {
+        const std::string& t = tk[k].text;
+        const std::string& prev = k > 0 ? tk[k - 1].text : t;
+        if ((t == "class" || t == "struct") && prev != "enum" &&
+            k + 1 < tk.size()) {
+          next_class = tk[k + 1].text;
+        }
+        if (t == ";") next_class.clear();
+        if (t == "}" && scopes.size() > 1) scopes.pop_back();
+        if (t == "{") {
+          Scope s;
+          std::size_t close = k;
+          while (close > 0 && tk[close - 1].text != ")" &&
+                 (tk[close - 1].text == "const" ||
+                  tk[close - 1].text == "noexcept" ||
+                  tk[close - 1].text == "override" ||
+                  tk[close - 1].text == "final")) {
+            --close;
           }
-          if (depth > 0 && adjacent && prev_token == "double" &&
-              is_banned_name(token) && is_public.back()) {
+          const std::size_t open = close > 0 && tk[close - 1].text == ")"
+                                       ? match_backward(tk, close - 1)
+                                       : tk.size();
+          if (scopes.back().body) {
+            s = scopes.back();  // a block or lambda inside a body
+          } else if (open >= 2 && open < tk.size()) {
+            const std::size_t name = open - 1;
+            const bool qualified = name >= 3 && tk[name - 1].text == ":" &&
+                                   tk[name - 2].text == ":";
+            const std::string& ret = tk[name - 1].text;
+            const bool raw =
+                ret == "double" || ret == "float" || ret == "uint64_t" ||
+                (ret == "long" && name >= 2 && tk[name - 2].text == "unsigned");
+            s.body = true;
+            s.name = tk[name].text;
+            s.owner = qualified ? tk[name - 3].text : scopes.back().name;
+            s.raw_public = raw && !qualified && tk[name - 1].is_public;
+          } else {
+            s.name = next_class;
+          }
+          next_class.clear();
+          scopes.push_back(std::move(s));
+        }
+        const Scope& scope = scopes.back();
+        if (t == "return" && scope.raw_public) {
+          std::size_t end = k + 1;
+          while (end < tk.size() && tk[end].text != ";") {
+            const bool opens = tk[end].text == "(" || tk[end].text == "{";
+            end = opens ? match_forward(tk, end) + 1 : end + 1;
+          }
+          if (unwraps(tk, k, end)) {
             findings.push_back(
-                {"typed-units", file, line_of(text, i),
-                 "public parameter `double " + token +
-                     "` in a src/" + dir +
-                     " header; use the ncar::Quantity types "
-                     "from common/quantity.hpp"});
+                {"unit-leak", file, line_of(text, tk[k].pos),
+                 "public function '" + scope.name +
+                     "' returns a raw number unwrapped with .value(); "
+                     "return the ncar::Quantity instead"});
           }
-          prev_token = token;
-          adjacent = true;
-          i = end;
-          continue;
         }
-        if (c == '(') ++depth;
-        if (c == ')') depth = depth > 0 ? depth - 1 : 0;
-        if (c == '{') {
-          is_public.push_back(pending == -1 ? is_public.back() : pending == 1);
-          pending = -1;
+        if ((t == "Seconds" || t == "Cycles") && k + 2 < tk.size()) {
+          // Seconds(...), or Quantity<dim::Seconds>(...).
+          const std::size_t open =
+              tk[k + 1].text == "(" ? k + 1
+              : tk[k + 1].text == ">" && tk[k + 2].text == "(" && prev == ":"
+                  ? k + 2
+                  : 0;
+          const bool clock_conversion =
+              scope.body && scope.owner == "MachineConfig" &&
+              (scope.name == "to_seconds" || scope.name == "to_cycles");
+          if (open != 0 && !clock_conversion &&
+              unwraps(tk, open, match_forward(tk, open) + 1)) {
+            findings.push_back(
+                {"unit-leak", file, line_of(text, tk[k].pos),
+                 t + " built from a .value() unwrap outside "
+                     "MachineConfig::to_seconds/to_cycles; keep the "
+                     "arithmetic in ncar::Quantity types"});
+          }
         }
-        if (c == '}' && is_public.size() > 1) is_public.pop_back();
-        if (c == ';') pending = -1;  // forward declaration: no scope opened
-        if (std::isspace(static_cast<unsigned char>(c)) == 0) {
-          adjacent = false;  // punctuation breaks `double name` adjacency
-        }
-        ++i;
       }
     }
   }
@@ -350,7 +562,8 @@ void sort_and_dedupe(std::vector<Finding>& findings) {
 std::vector<Finding> lint_tree(const fs::path& root) {
   std::vector<Finding> all;
   for (auto* check : {check_bench_reporter, check_nondeterminism,
-                      check_stdout, check_pragma_once, check_typed_units}) {
+                      check_stdout, check_pragma_once, check_typed_units,
+                      check_unit_leak}) {
     auto found = check(root);
     all.insert(all.end(), found.begin(), found.end());
   }

@@ -17,6 +17,11 @@
 //                       gettimeofday, clock_gettime, std::random_device or
 //                       the std::chrono steady/system/high_resolution
 //                       clocks. Simulated time must come from the model.
+//                       std random engines (mt19937*, minstd_rand*,
+//                       ranlux*, knuth_b, the *_engine templates) live
+//                       only in src/des/rng* and src/common/rng*, and no
+//                       unordered_* container appears anywhere in src/:
+//                       its iteration order is unspecified.
 //   no-stdout           model code must not print; presentation lives in
 //                       bench/ and examples/.
 //   pragma-once         every header uses #pragma once.
@@ -27,6 +32,13 @@
 //                       A brace-stack access tracker (class opens private,
 //                       struct opens public, labels flip) lets private
 //                       helpers keep raw doubles.
+//   unit-leak           src/sxs, src/machines, src/iosim and src/des code
+//                       must not build Seconds/Cycles from a .value()
+//                       unwrap outside MachineConfig::to_seconds /
+//                       to_cycles, and a public function returning a raw
+//                       double/float/uint64 must not return a .value()
+//                       unwrap. Out-of-line definitions in a .cpp are not
+//                       checked for the second pattern.
 //
 // Each finding carries the rule name, file, line, and message. main() prints
 // them `file:line: [rule] message` and exits non-zero on any finding.
@@ -66,5 +78,6 @@ std::vector<Finding> check_nondeterminism(const std::filesystem::path& root);
 std::vector<Finding> check_stdout(const std::filesystem::path& root);
 std::vector<Finding> check_pragma_once(const std::filesystem::path& root);
 std::vector<Finding> check_typed_units(const std::filesystem::path& root);
+std::vector<Finding> check_unit_leak(const std::filesystem::path& root);
 
 }  // namespace ncar::sxlint

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <set>
 #include <string>
+#include <utility>
 
 // SXLINT_TESTDATA_DIR is provided by CMake and points at
 // tools/sxlint/testdata in the source tree.
@@ -64,11 +66,63 @@ TEST(SxlintBad, NondeterministicCallsAreFlagged) {
   // drand48(), lrand48(), random() and the steady, high_resolution and
   // system clocks (11); clock_gettime and time() in the streaming-sink
   // fixture trace/stream/sink_wallclock.cpp (2); steady_clock in the
-  // header model_nondet.hpp (1).
-  EXPECT_EQ(count_rule(findings, "no-nondeterminism"), 14);
+  // header model_nondet.hpp (1); std::mt19937_64 in
+  // machines/nondet_rng.cpp (1); unordered_map at the #include and the
+  // member of sxs/nondet_unordered.cpp (2).
+  EXPECT_EQ(count_rule(findings, "no-nondeterminism"), 17);
   EXPECT_TRUE(mentions_file(findings, "model_nondet.cpp"));
   EXPECT_TRUE(mentions_file(findings, "model_nondet.hpp"));
   EXPECT_TRUE(mentions_file(findings, "sink_wallclock.cpp"));
+  EXPECT_TRUE(mentions_file(findings, "nondet_rng.cpp"));
+  EXPECT_TRUE(mentions_file(findings, "nondet_unordered.cpp"));
+}
+
+TEST(SxlintGood, RngLayerMayHoldStdEngines) {
+  // des/rng_stream.cpp sits in src/des/rng*, where std engines are allowed,
+  // and iterates an ordered std::map.
+  const auto findings = ncar::sxlint::check_nondeterminism(testdata("good"));
+  EXPECT_FALSE(mentions_file(findings, "rng_stream.cpp"));
+}
+
+TEST(SxlintBad, UnitLeaksAreFlagged) {
+  auto findings = ncar::sxlint::check_unit_leak(testdata("bad"));
+  ncar::sxlint::sort_and_dedupe(findings);
+  // machines/unit_leak_rewrap.cpp re-wraps Cycles as Seconds outside
+  // MachineConfig (its MachineConfig::to_seconds twin is exempt);
+  // sxs/unit_leak_return.cpp returns a raw double from a public accessor
+  // (its typed sibling is clean).
+  ASSERT_EQ(count_rule(findings, "unit-leak"), 2);
+  EXPECT_EQ(findings[0].file.filename(), "unit_leak_rewrap.cpp");
+  EXPECT_EQ(findings[0].line, 22);
+  EXPECT_EQ(findings[1].file.filename(), "unit_leak_return.cpp");
+  EXPECT_EQ(findings[1].line, 21);
+}
+
+TEST(SxlintGood, TypedReturnsAndClockConversionsPass) {
+  // sxs/unit_ok.cpp: MachineConfig::to_seconds/to_cycles re-wrap through
+  // the clock, a typed public accessor, and a private raw one.
+  const auto findings = ncar::sxlint::check_unit_leak(testdata("good"));
+  EXPECT_EQ(count_rule(findings, "unit-leak"), 0);
+}
+
+TEST(SxlintBad, SemanticFixturesAreFlaggedByExactlyTheirRule) {
+  // The fixtures of the former libclang tier: each is caught by the
+  // sxlint rule that now enforces its invariant, and by nothing else.
+  const std::set<std::pair<std::string, std::string>> expected = {
+      {"no-nondeterminism", "src/machines/nondet_rng.cpp"},
+      {"no-nondeterminism", "src/sxs/nondet_unordered.cpp"},
+      {"unit-leak", "src/machines/unit_leak_rewrap.cpp"},
+      {"unit-leak", "src/sxs/unit_leak_return.cpp"},
+  };
+  std::set<std::pair<std::string, std::string>> actual;
+  for (const auto& f : ncar::sxlint::lint_tree(testdata("bad"))) {
+    const std::string rel =
+        std::filesystem::relative(f.file, testdata("bad")).generic_string();
+    for (const auto& [rule, file] : expected) {
+      if (file == rel) actual.insert({f.rule, rel});
+    }
+  }
+  EXPECT_EQ(actual, expected);
 }
 
 TEST(SxlintGood, StreamSinkOnModelTimePasses) {
@@ -125,6 +179,7 @@ TEST(SxlintBad, WholeTreeAggregatesEveryRule) {
   EXPECT_GE(count_rule(findings, "no-stdout"), 1);
   EXPECT_GE(count_rule(findings, "pragma-once"), 1);
   EXPECT_GE(count_rule(findings, "typed-units"), 1);
+  EXPECT_GE(count_rule(findings, "unit-leak"), 1);
 }
 
 TEST(SxlintOrdering, FindingsAreSortedByFileLineRule) {

@@ -1,5 +1,5 @@
-// BAD fixture (sema-nondet): a raw std random engine living outside the
-// des RNG layer. Draws must come from a named des::RngStream so replays
+// BAD fixture (no-nondeterminism): a raw std random engine living outside
+// the RNG layers. Draws must come from a named des::RngStream so replays
 // and partitioned streams stay reproducible.
 #include <random>
 

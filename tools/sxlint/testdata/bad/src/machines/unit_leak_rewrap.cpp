@@ -1,4 +1,4 @@
-// BAD fixture (sema-unit-leak): hasty_seconds() converts Cycles to Seconds
+// BAD fixture (unit-leak): hasty_seconds() converts Cycles to Seconds
 // by unwrapping and re-wrapping with an ad-hoc clock rate instead of going
 // through MachineConfig::to_seconds. The blessed conversion below it is the
 // exempted good twin.

@@ -1,6 +1,7 @@
-// BAD fixture (sema-nondet): iterating an unordered container. The sum
-// here is order-insensitive, but the rule is deliberately conservative —
-// charged or serialized state must never depend on hash-bucket order.
+// BAD fixture (no-nondeterminism): an unordered container in model code,
+// flagged at its #include and its declaration. The sum here is
+// order-insensitive, but the rule is deliberately conservative — charged or
+// serialized state must never depend on hash-bucket order.
 #include <unordered_map>
 
 namespace sxs {

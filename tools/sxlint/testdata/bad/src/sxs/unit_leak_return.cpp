@@ -1,4 +1,4 @@
-// BAD fixture (sema-unit-leak): a public accessor strips the Seconds
+// BAD fixture (unit-leak): a public accessor strips the Seconds
 // dimension with .value() and returns a raw double. The typed sibling
 // accessor right below it must stay clean.
 namespace ncar {

@@ -1,6 +1,6 @@
-// GOOD fixture (sema-nondet): this file is the des RNG layer itself
-// (src/des/rng*), the one blessed home for raw std engine state, and it
-// iterates an ordered std::map. Nothing here may be flagged.
+// GOOD fixture (no-nondeterminism): this file is the des RNG layer itself
+// (src/des/rng*), a blessed home for raw std engine state, and it iterates
+// an ordered std::map. Nothing here may be flagged.
 #include <map>
 #include <random>
 

@@ -1,4 +1,4 @@
-// GOOD fixture (sema-unit-leak): typed quantities cross the public
+// GOOD fixture (unit-leak): typed quantities cross the public
 // surface, raw doubles stay private, and cycles<->seconds conversion goes
 // through MachineConfig. Nothing here may be flagged.
 namespace ncar {
