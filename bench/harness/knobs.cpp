@@ -1,5 +1,6 @@
 #include "harness/knobs.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -8,6 +9,25 @@
 #include "common/error.hpp"
 
 namespace ncar::bench {
+
+const std::array<std::string_view, 16> kKnownKnobs = {
+    "SX4NCAR_BASELINE_DIR",
+    "SX4NCAR_BENCH_FULL",
+    "SX4NCAR_BENCH_RESULTS_DIR",
+    "SX4NCAR_HOST_THREADS",
+    "SX4NCAR_SIMD",
+    "SX4NCAR_SWEEP_BANKS",
+    "SX4NCAR_SWEEP_BASE",
+    "SX4NCAR_SWEEP_CLOCKS",
+    "SX4NCAR_SWEEP_KERNEL",
+    "SX4NCAR_SWEEP_PIPES",
+    "SX4NCAR_SWEEP_PORT",
+    "SX4NCAR_SWEEP_REPORT",
+    "SX4NCAR_SWEEP_VL",
+    "SX4NCAR_TRACE",
+    "SX4NCAR_YEAR_DAYS",
+    "SX4NCAR_YEAR_SEED",
+};
 
 namespace {
 
@@ -32,7 +52,45 @@ bool parse_positive(const std::string& text, double& out) {
   return ec == std::errc() && end == last && std::isfinite(out) && out > 0.0;
 }
 
+/// Levenshtein distance between `a` and `b`.
+std::size_t edit_distance(std::string_view a, std::string_view b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diag = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t up = row[j];
+      row[j] = std::min({up + 1, row[j - 1] + 1,
+                         diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diag = up;
+    }
+  }
+  return row[b.size()];
+}
+
 }  // namespace
+
+void reject_unknown_knobs(const char* const* env) {
+  constexpr std::string_view kPrefix = "SX4NCAR_";
+  for (; env != nullptr && *env != nullptr; ++env) {
+    const std::string_view entry(*env);
+    const std::string_view name = entry.substr(0, entry.find('='));
+    if (name.substr(0, kPrefix.size()) != kPrefix) continue;
+    if (std::find(kKnownKnobs.begin(), kKnownKnobs.end(), name) !=
+        kKnownKnobs.end()) {
+      continue;
+    }
+    const auto nearest = std::min_element(
+        kKnownKnobs.begin(), kKnownKnobs.end(),
+        [&](std::string_view x, std::string_view y) {
+          return edit_distance(name, x) < edit_distance(name, y);
+        });
+    throw config_error(std::string(name) +
+                       " is not a known knob (nearest known name: " +
+                       std::string(*nearest) + ")");
+  }
+}
 
 std::string knob_string(const char* name, const std::string& fallback) {
   const char* v = value_of(name);

@@ -10,6 +10,8 @@
 #include <iostream>
 #include <ostream>
 
+#include <unistd.h>
+
 #include "common/error.hpp"
 #include "harness/knobs.hpp"
 #include "sxs/execution_policy.hpp"
@@ -87,9 +89,11 @@ BenchReporter::BenchReporter(std::string name, int argc, char** argv)
     }
   }
 
-  // The knob parsers are strict: a malformed SX4NCAR_HOST_THREADS,
-  // SX4NCAR_SIMD or SX4NCAR_TRACE stops the run here, naming the knob.
+  // The knob parsers are strict: an SX4NCAR_* name no code reads, or a
+  // malformed SX4NCAR_HOST_THREADS, SX4NCAR_SIMD or SX4NCAR_TRACE, stops
+  // the run here, naming the knob.
   try {
+    reject_unknown_knobs(environ);
     host_execution_ = sxs::host_execution_summary();
     (void)trace::mode();
   } catch (const config_error& e) {

@@ -164,7 +164,7 @@ private:
   long steps_ = 0;
 
   // Scratch grids.
-  Array2D<double> zg_, zlam_, zmu_, plam_, pmu_, ug_, vg_, gg_, qn_;
+  Array2D<double> zlam_, zmu_, plam_, pmu_, ug_, vg_, gg_, qn_;
   // Per-step spectral scratch, sized in reset() so step() never allocates.
   std::vector<std::vector<spectral::cd>> tendency_;
   std::vector<spectral::cd> psi_;

@@ -2,7 +2,8 @@
 // Bump-pointer workspace arena for allocation-free hot paths.
 //
 // Kernel step functions used to construct per-step std::vector workspaces;
-// under the sema-hot-alloc discipline the hot path must not allocate. An
+// the hot path must not allocate (tests/integration/test_hot_alloc.cpp
+// counts every operator new after a warm-up call). An
 // Arena owns one pre-sized pool (allocated at setup time) and hands out
 // spans by bumping an offset — take() never touches the heap. ArenaScope
 // restores the offset on scope exit, so nested transforms (SHT -> real FFT)

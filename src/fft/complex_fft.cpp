@@ -4,6 +4,7 @@
 #include <numbers>
 
 #include "common/error.hpp"
+#include "simd/scalar_kernels.hpp"
 #include "simd/simd.hpp"
 
 namespace ncar::fft {
@@ -29,10 +30,10 @@ constexpr double kTau = 2.0 * std::numbers::pi;
 Plan::Plan(long n) : n_(n) {
   NCAR_REQUIRE(n >= 1, "transform length must be positive");
   factors_ = factorize(n);
-  // The radix chosen at each level is a pure function of the sub-transform
-  // size, and every leg at a given depth has the same size — so the stage
-  // list (and its twiddle tables) is one chain from n down to 1, indexed by
-  // recursion depth.
+  // Decimation in time: the radix taken at each depth is a pure function
+  // of the sub-transform size, and every block at a given depth has the
+  // same size — so the stage list (and its twiddle tables) is one chain
+  // from n down to 1, indexed by depth.
   std::size_t total = 0;
   for (long sz = n_; sz > 1;) {
     int f = 2;
@@ -41,6 +42,19 @@ Plan::Plan(long n) : n_(n) {
     stages_.push_back(Stage{sz, f, m, total});
     total += static_cast<std::size_t>(sz);
     sz = m;
+  }
+  // Leaf permutation: output position p = sum_d j_d * stages_[d].m reads
+  // input index sum_d j_d * (f_0 * ... * f_{d-1}), the mixed-radix digit
+  // reversal the recursion's strided legs produce.
+  perm_.resize(static_cast<std::size_t>(n_));
+  for (long p = 0; p < n_; ++p) {
+    long rem = p, idx = 0, stride = 1;
+    for (const Stage& st : stages_) {
+      idx += (rem / st.m) * stride;
+      rem %= st.m;
+      stride *= st.f;
+    }
+    perm_[static_cast<std::size_t>(p)] = idx;
   }
   tw_fwd_.resize(total);
   tw_inv_.resize(total);
@@ -73,32 +87,53 @@ bool Plan::supported(long n) {
   return n == 1;
 }
 
-void Plan::rec(const cd* in, long in_stride, cd* out, long n, bool inv,
-               std::size_t depth) const {
-  if (n == 1) {
-    out[0] = in[0];
-    return;
-  }
-  const Stage& st = stages_[depth];
-  const int f = st.f;
-  const long m = st.m;
-  for (int j = 0; j < f; ++j) {
-    rec(in + static_cast<long>(j) * in_stride, in_stride * f,
-        out + static_cast<long>(j) * m, m, inv, depth + 1);
-  }
-  const cd* tw = (inv ? tw_inv_ : tw_fwd_).data() + st.tw_offset;
+void Plan::run(const cd* in, cd* out, bool inv) const {
+  // Leaves: the digit-reversed input order the decimation-in-time
+  // recursion would reach at length 1.
+  for (long p = 0; p < n_; ++p) out[p] = in[perm_[static_cast<std::size_t>(p)]];
+  const cd* tw_all = (inv ? tw_inv_ : tw_fwd_).data();
   const double sign = inv ? 1.0 : -1.0;
   const simd::KernelTable& kt = simd::table();
-  switch (f) {
-    case 2:
-      kt.fft_combine2(out, m, tw);
-      break;
-    case 3:
-      kt.fft_combine3(out, m, tw, sign);
-      break;
-    default:
-      kt.fft_combine5(out, m, tw, sign);
-      break;
+  // Deepest stage first. Each block of st.n values is one combine the
+  // recursion would make, with the same inputs and twiddles, so the order
+  // of blocks within a stage changes no double.
+  for (auto it = stages_.rbegin(); it != stages_.rend(); ++it) {
+    const Stage& st = *it;
+    const cd* tw = tw_all + st.tw_offset;
+    const long m = st.m;
+    cd* const end = out + n_;
+    if (m == 1) {
+      // The deepest stage: one butterfly per block, too short for any
+      // SIMD body, so the scalar reference runs inline instead of a
+      // table call per block (the same code every backend's tail runs).
+      for (cd* blk = out; blk != end; blk += st.n) {
+        switch (st.f) {
+          case 2:
+            simd::scalar_ref::fft_combine2(blk, 1, tw);
+            break;
+          case 3:
+            simd::scalar_ref::fft_combine3(blk, 1, tw, sign);
+            break;
+          default:
+            simd::scalar_ref::fft_combine5(blk, 1, tw, sign);
+            break;
+        }
+      }
+      continue;
+    }
+    for (cd* blk = out; blk != end; blk += st.n) {
+      switch (st.f) {
+        case 2:
+          kt.fft_combine2(blk, m, tw);
+          break;
+        case 3:
+          kt.fft_combine3(blk, m, tw, sign);
+          break;
+        default:
+          kt.fft_combine5(blk, m, tw, sign);
+          break;
+      }
+    }
   }
 }
 
@@ -106,14 +141,14 @@ void Plan::forward(std::span<const cd> in, std::span<cd> out) const {
   NCAR_REQUIRE(static_cast<long>(in.size()) == n_ &&
                    static_cast<long>(out.size()) == n_,
                "buffer sizes must equal the plan length");
-  rec(in.data(), 1, out.data(), n_, false, 0);
+  run(in.data(), out.data(), false);
 }
 
 void Plan::inverse(std::span<const cd> in, std::span<cd> out) const {
   NCAR_REQUIRE(static_cast<long>(in.size()) == n_ &&
                    static_cast<long>(out.size()) == n_,
                "buffer sizes must equal the plan length");
-  rec(in.data(), 1, out.data(), n_, true, 0);
+  run(in.data(), out.data(), true);
 }
 
 void naive_dft(std::span<const cd> in, std::span<cd> out, bool inverse) {

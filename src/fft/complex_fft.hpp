@@ -5,7 +5,9 @@
 // whose transforms support lengths with factors 2, 3, and 5 — exactly the
 // three length families the paper sweeps (2^n, 3*2^n, 5*2^n). This is a
 // from-scratch decimation-in-time implementation with hard-coded radix
-// 2/3/5 combine kernels, recursive over the factorisation.
+// 2/3/5 combine kernels, run as a flat stage loop: one digit-reversal
+// copy, then every combine of a stage over the whole buffer, deepest
+// stage first — the loop structure of FFTPACK and of a vector machine.
 
 #include <complex>
 #include <span>
@@ -17,10 +19,12 @@ using cd = std::complex<double>;
 
 /// A transform plan for a fixed length n (factors 2, 3, 5 only).
 ///
-/// The plan precomputes the twiddle factors of every combine stage at
-/// construction (forward and inverse signs), so the transforms themselves
-/// never call libm and never allocate — the combine passes run through the
-/// runtime-dispatched SIMD kernel table (src/simd/).
+/// The plan precomputes the leaf permutation and the twiddle factors of
+/// every combine stage at construction (forward and inverse signs), so the
+/// transforms themselves never call libm and never allocate. The combine
+/// passes run through the runtime-dispatched kernel table (src/simd/),
+/// except the one-butterfly deepest stage, which runs the scalar reference
+/// inline. Every backend gives the same doubles.
 class Plan {
 public:
   explicit Plan(long n);
@@ -39,8 +43,9 @@ public:
   static bool supported(long n);
 
 private:
-  /// One combine pass: n = f * m values merged from f sub-transforms of
-  /// size m, with twiddles at tw_offset (laid out tw[j*m + k]).
+  /// One combine pass: each block of n = f * m values is merged from f
+  /// sub-transforms of size m, with twiddles at tw_offset (laid out
+  /// tw[j*m + k]).
   struct Stage {
     long n;
     int f;
@@ -48,12 +53,12 @@ private:
     std::size_t tw_offset;
   };
 
-  void rec(const cd* in, long in_stride, cd* out, long n, bool inv,
-           std::size_t depth) const;
+  void run(const cd* in, cd* out, bool inv) const;
 
   long n_;
   std::vector<int> factors_;
   std::vector<Stage> stages_;  // depth 0 = the full-length combine
+  std::vector<long> perm_;     // output position -> input index
   std::vector<cd> tw_fwd_;
   std::vector<cd> tw_inv_;
 };

@@ -1,11 +1,12 @@
 // Strict parsing of the bench mains' own knobs (harness/knobs.hpp): unset
 // and empty keep the fallback, a malformed value throws config_error
-// naming the knob.
+// naming the knob, and so does an SX4NCAR_* name that no code reads.
 
 #include "harness/knobs.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -120,6 +121,57 @@ TEST(BenchKnobs, PositiveList) {
   }
   for (const char* bad : {"1,x", "1,,2", ",1", "1,", "0,1", "1;2", "-4"}) {
     expect_rejected(bad, [] { return knob_positive_list(kKnob, {1}); });
+  }
+}
+
+TEST(BenchKnobs, KnownKnobsAreSortedAndUnique) {
+  EXPECT_TRUE(std::is_sorted(kKnownKnobs.begin(), kKnownKnobs.end()));
+  EXPECT_EQ(std::adjacent_find(kKnownKnobs.begin(), kKnownKnobs.end()),
+            kKnownKnobs.end());
+}
+
+TEST(BenchKnobs, KnownAndForeignNamesPass) {
+  std::vector<std::string> entries;
+  for (const auto name : kKnownKnobs) {
+    entries.push_back(std::string(name) + "=1");
+  }
+  // Only the exact SX4NCAR_ prefix is ours.
+  for (const char* other : {"PATH=/bin", "SX4NCARX=1", "MY_SX4NCAR_TRACE=1",
+                            "sx4ncar_trace=full"}) {
+    entries.emplace_back(other);
+  }
+  std::vector<const char*> env;
+  for (const auto& e : entries) env.push_back(e.c_str());
+  env.push_back(nullptr);
+  EXPECT_NO_THROW(reject_unknown_knobs(env.data()));
+  EXPECT_NO_THROW(reject_unknown_knobs(nullptr));
+}
+
+TEST(BenchKnobs, UnknownNameIsRejectedWithTheNearestKnownName) {
+  struct Case {
+    const char* entry;
+    const char* name;
+    const char* nearest;
+  };
+  const Case cases[] = {
+      {"SX4NCAR_YEAR_DAY=3", "SX4NCAR_YEAR_DAY", "SX4NCAR_YEAR_DAYS"},
+      {"SX4NCAR_TRACE_MAX_SPANS=10", "SX4NCAR_TRACE_MAX_SPANS",
+       "SX4NCAR_TRACE"},
+      {"SX4NCAR_HOST_THREAD=", "SX4NCAR_HOST_THREAD", "SX4NCAR_HOST_THREADS"},
+      {"SX4NCAR_SWEEP_PIPE", "SX4NCAR_SWEEP_PIPE", "SX4NCAR_SWEEP_PIPES"},
+  };
+  for (const Case& c : cases) {
+    const char* env[] = {"SX4NCAR_TRACE=off", c.entry, nullptr};
+    try {
+      reject_unknown_knobs(env);
+      ADD_FAILURE() << c.entry << " was accepted";
+    } catch (const config_error& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(msg.rfind(std::string(c.name) + " ", 0), 0u) << msg;
+      EXPECT_NE(msg.find(std::string("nearest known name: ") + c.nearest),
+                std::string::npos)
+          << msg;
+    }
   }
 }
 

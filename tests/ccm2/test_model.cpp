@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
+#include "support/fnv1a.hpp"
 #include "sxs/machine_config.hpp"
 #include "trace/category.hpp"
 #include "trace/collector.hpp"
@@ -95,6 +99,42 @@ TEST_F(Ccm2Test, DeterministicChecksum) {
   ccm2::Ccm2 b(small_config(), node);
   for (int s = 0; s < 10; ++s) b.step(4);  // CPU count must not change physics
   EXPECT_DOUBLE_EQ(ca, b.checksum());
+}
+
+// The full model state after three steps, pinned bit for bit: FNV-1a over
+// the bytes of Ccm2::checkpoint() (step count, zeta, zeta_prev, q, T) at
+// T42 and T170, inline (null pool) and on pools of 1 and 4 host threads.
+// Recorded before the host numerics dropped the unread vorticity synthesis
+// and the recursive FFT, both of which had to leave every double as it was.
+TEST_F(Ccm2Test, CheckpointHashPinned) {
+  struct Case {
+    ccm2::Resolution res;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {ccm2::t42l18(), 0x708c6af0ebf6a52cull},
+      {ccm2::t170l18(), 0xa7c6dab100a8c1beull},
+  };
+  for (const Case& c : cases) {
+    for (const int threads : {0, 1, 4}) {
+      sxs::Node n(sxs::MachineConfig::sx4_benchmarked());
+      std::unique_ptr<ThreadPool> pool;
+      if (threads == 0) {
+        n.set_execution_policy(sxs::ExecutionPolicy::Sequential);
+      } else {
+        pool = std::make_unique<ThreadPool>(threads);
+        n.set_execution_policy(sxs::ExecutionPolicy::Threaded);
+        n.set_thread_pool(pool.get());
+      }
+      ccm2::Ccm2Config cfg;
+      cfg.res = c.res;
+      ccm2::Ccm2 model(cfg, n);
+      for (int s = 0; s < 3; ++s) model.step(4);
+      const std::uint64_t h = test::fnv1a(model.checkpoint());
+      EXPECT_EQ(h, c.hash) << c.res.name << " threads " << threads
+                           << " hash 0x" << std::hex << h;
+    }
+  }
 }
 
 TEST_F(Ccm2Test, ResetRestoresInitialState) {

@@ -11,6 +11,7 @@
 #include "common/error.hpp"
 #include "ocean/mask.hpp"
 #include "sxs/machine_config.hpp"
+#include "support/fnv1a.hpp"
 
 namespace {
 
@@ -130,19 +131,6 @@ TEST_F(MomTest, ResetRestoresState) {
   EXPECT_DOUBLE_EQ(mom.checksum(), c0);
 }
 
-std::uint64_t fnv1a(const std::vector<double>& values) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const double v : values) {
-    unsigned char bytes[sizeof v];
-    std::memcpy(bytes, &v, sizeof v);
-    for (const unsigned char b : bytes) {
-      h ^= b;
-      h *= 0x100000001b3ull;
-    }
-  }
-  return h;
-}
-
 // The full model state after three steps, pinned bit for bit: FNV-1a over
 // the bytes of Mom::checkpoint() (step count, T, S, psi, u, v), computed
 // with the row-by-row Gauss-Seidel loop the wavefront schedule replaced.
@@ -166,7 +154,7 @@ TEST_F(MomTest, CheckpointHashPinnedAcrossOmegas) {
     cfg.sor_omega = c.omega;
     ocean::Mom mom(cfg, node);
     for (int s = 0; s < 3; ++s) mom.step(4);
-    const std::uint64_t h = fnv1a(mom.checkpoint());
+    const std::uint64_t h = test::fnv1a(mom.checkpoint());
     EXPECT_EQ(h, c.hash) << (c.high ? "high" : "low") << " omega " << c.omega
                          << " hash 0x" << std::hex << h;
   }

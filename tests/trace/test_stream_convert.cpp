@@ -16,6 +16,7 @@
 #include "sxs/execution_policy.hpp"
 #include "sxs/machine_config.hpp"
 #include "sxs/node.hpp"
+#include "support/fnv1a.hpp"
 #include "trace/category.hpp"
 
 namespace {
@@ -32,15 +33,6 @@ private:
   Mode before_;
 };
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char ch : s) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 /// Run `model_fn(node)` in Full mode and check the Chrome JSON against
 /// the pinned length and hash.
 template <typename ModelFn>
@@ -51,7 +43,7 @@ void expect_pinned_json(const std::string& sxt_path, std::size_t bytes,
                  sxs::ExecutionPolicy::Sequential);
   const std::string json = test::stream_chrome_json(sxt_path, node, model_fn);
   EXPECT_EQ(json.size(), bytes);
-  EXPECT_EQ(fnv1a(json), hash);
+  EXPECT_EQ(test::fnv1a(json), hash);
 }
 
 TEST(StreamConvert, Ccm2TraceByteIdentical) {
