@@ -5,9 +5,9 @@
 // vector length, memory port width, bank count, clock) over a catalog base
 // machine into a lazy cartesian grid (src/machines/sweep.hpp), records the
 // chosen kernel's op stream once, replays it against every design point on
-// the host thread pool with per-config CostCache reuse, classifies each
-// point memory-bound vs compute-bound via perturbation twins, and flags
-// the flip boundaries. The full per-point report is written as
+// the host thread pool, pricing each distinct charge once per config,
+// classifies each point memory-bound vs compute-bound via perturbation
+// twins, and flags the flip boundaries. The full per-point report is written as
 // deterministic JSON next to the result file — byte-identical across
 // host-thread policies and repeat runs
 // (bench/cmake/sweep_determinism_check.cmake pins this).
@@ -159,9 +159,10 @@ int main(int argc, char** argv) {
               machines::format_number(best->seconds).c_str(),
               best->hw_mflops, best->memory_bound ? "memory-bound" : "compute-bound");
 
-  // Rank the full catalog on the same recorded probe — the modern design
-  // points (SX-Aurora, A64FX, RVV) against the 1996 fleet.
-  const machines::Probe probe = machines::record_probe(kernel);
+  // Rank the full catalog on the probe the sweep replayed (recorded once
+  // per process) — the modern design points (SX-Aurora, A64FX, RVV)
+  // against the 1996 fleet.
+  const machines::Probe& probe = machines::record_probe(kernel);
   std::printf("\ncatalog machines on the same %s probe:\n", kernel.c_str());
   Table rank({"Machine", "Seconds", "HW Mflops"});
   for (const auto& name : machines::builtin_names()) {

@@ -29,8 +29,9 @@ int main() {
             << "\n(unset keys inherit the SX-4 product defaults; "
             << catalog.machines.size() << " machines in the catalog)\n\n";
 
-  // Act 2: one recorded probe, replayed against every catalog machine.
-  const machines::Probe probe = machines::record_probe("radabs");
+  // Act 2: one recorded probe, replayed against every catalog machine. The
+  // sweep in act 3 replays this same recording.
+  const machines::Probe& probe = machines::record_probe("radabs");
   print_banner(std::cout, "The catalog on the RADABS probe");
   Table rank({"Machine", "Seconds", "HW Mflops"});
   for (const std::string& name : machines::builtin_names()) {

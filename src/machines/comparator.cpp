@@ -22,12 +22,8 @@ Spec validated(Spec spec) {
 Comparator::Comparator(Spec spec)
     : spec_(validated(std::move(spec))), cpu_(spec_.cfg) {}
 
-void Comparator::vec(const sxs::VectorOp& op, long repeats) {
-  if (sink_ != nullptr) sink_->on_vec(op, repeats);
-  if (spec_.has_vector) {
-    cpu_.vec(op, repeats);
-    return;
-  }
+Comparator::Price Comparator::price(const sxs::VectorOp& op) {
+  if (spec_.has_vector) return {cpu_.price(op)};
   // No vector hardware: the loop runs on the scalar unit. Streams become
   // cached references; gathers/scatters are ordinary indexed loads there.
   sxs::ScalarOp s;
@@ -38,26 +34,56 @@ void Comparator::vec(const sxs::VectorOp& op, long repeats) {
   s.other_ops_per_iter = 2.0;  // loop control / addressing
   s.working_set_bytes = static_cast<double>(op.n) * s.mem_words_per_iter * 8.0;
   s.reuse_fraction = 0.0;  // vectorisable loops are streaming by nature
-  for (long r = 0; r < repeats; ++r) cpu_.scalar(s);
+  return {cpu_.price(s)};
+}
+
+Comparator::Price Comparator::price(const sxs::ScalarOp& op) {
+  return {cpu_.price(op)};
+}
+
+Comparator::Price Comparator::price(sxs::Intrinsic f, long n) {
+  if (spec_.has_vector) {
+    return {cpu_.price_intrinsic(f, n, 1.0, 1.0,
+                                 spec_.vector_libm_multiplier)};
+  }
+  Price p{cpu_.price_scalar_intrinsic(f, n)};
+  if (spec_.libm_call_overhead_cycles > 0 && n > 0) {
+    p.libm_overhead =
+        Cycles(spec_.libm_call_overhead_cycles * static_cast<double>(n));
+  }
+  return p;
+}
+
+void Comparator::charge(const Price& price, long repeats) {
+  NCAR_REQUIRE(repeats >= 0, "negative repeat count");
+  if (spec_.has_vector) {
+    cpu_.charge(price.cpu, repeats);
+    return;
+  }
+  // The scalar unit runs the loop `repeats` times, each a charge of its own.
+  for (long r = 0; r < repeats; ++r) {
+    cpu_.charge(price.cpu);
+    if (price.libm_overhead > Cycles(0.0)) {
+      cpu_.charge_cycles(price.libm_overhead, trace::Category::Scalar);
+    }
+  }
+}
+
+void Comparator::vec(const sxs::VectorOp& op, long repeats) {
+  if (sink_ != nullptr) sink_->on_vec(op, repeats);
+  if (repeats == 0) return;
+  charge(price(op), repeats);
 }
 
 void Comparator::scalar(const sxs::ScalarOp& op) {
   if (sink_ != nullptr) sink_->on_scalar(op);
-  cpu_.scalar(op);
+  charge(price(op));
 }
 
 void Comparator::intrinsic(sxs::Intrinsic f, long n) {
   if (sink_ != nullptr) sink_->on_intrinsic(f, n);
-  if (spec_.has_vector) {
-    cpu_.intrinsic(f, n, 1.0, 1.0, spec_.vector_libm_multiplier);
-    return;
-  }
-  cpu_.scalar_intrinsic(f, n);
-  if (spec_.libm_call_overhead_cycles > 0 && n > 0) {
-    cpu_.charge_cycles(
-        Cycles(spec_.libm_call_overhead_cycles * static_cast<double>(n)),
-        trace::Category::Scalar);
-  }
+  if (n == 0) return;
+  charge(price(f, n));
 }
 
 // The presets lower the builtin catalog's description tables (the catalog

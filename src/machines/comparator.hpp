@@ -62,6 +62,27 @@ public:
   bool has_vector() const { return spec_.has_vector; }
   const sxs::MachineConfig& config() const { return spec_.cfg; }
 
+  /// A charge priced on this machine's path: the vector pipes, or the
+  /// scalar unit on a machine without vector hardware. Only the
+  /// Comparator that priced it may charge it (its Spec owns the config).
+  struct Price {
+    sxs::Cpu::Price cpu;
+    /// Scalar-library call overhead per charge (scalar-machine intrinsics).
+    Cycles libm_overhead{0.0};
+  };
+
+  /// Price a vectorisable loop. Without vector hardware it is the scalar
+  /// loop the machine runs instead.
+  Price price(const sxs::VectorOp& op);
+  /// Price an inherently scalar loop.
+  Price price(const sxs::ScalarOp& op);
+  /// Price `n` intrinsic calls via the machine's best path: the vector
+  /// libm, or scalar library code plus its call overhead.
+  Price price(sxs::Intrinsic f, long n);
+  /// Charge `price` `repeats` times: one product on the vector pipes,
+  /// `repeats` scalar charges on a machine without them.
+  void charge(const Price& price, long repeats = 1);
+
   /// Charge a vectorisable loop (runs on vector pipes when present),
   /// `repeats` times.
   void vec(const sxs::VectorOp& op, long repeats = 1);

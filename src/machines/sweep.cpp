@@ -1,6 +1,7 @@
 #include "machines/sweep.hpp"
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -129,9 +130,60 @@ private:
   std::vector<ProbeOp>* out_;
 };
 
-}  // namespace
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
-Probe record_probe(std::string_view kernel) {
+bool same_bits(const sxs::VectorOp& a, const sxs::VectorOp& b) {
+  return a.n == b.n && same_bits(a.flops_per_elem, b.flops_per_elem) &&
+         same_bits(a.div_per_elem, b.div_per_elem) &&
+         same_bits(a.load_words, b.load_words) &&
+         same_bits(a.store_words, b.store_words) &&
+         same_bits(a.gather_words, b.gather_words) &&
+         same_bits(a.scatter_words, b.scatter_words) &&
+         a.load_stride == b.load_stride && a.store_stride == b.store_stride &&
+         a.pipe_groups == b.pipe_groups && a.instructions == b.instructions;
+}
+
+bool same_bits(const sxs::ScalarOp& a, const sxs::ScalarOp& b) {
+  return a.iters == b.iters && same_bits(a.flops_per_iter, b.flops_per_iter) &&
+         same_bits(a.mem_words_per_iter, b.mem_words_per_iter) &&
+         same_bits(a.other_ops_per_iter, b.other_ops_per_iter) &&
+         same_bits(a.working_set_bytes, b.working_set_bytes) &&
+         same_bits(a.reuse_fraction, b.reuse_fraction);
+}
+
+/// Whether `a` and `b` price identically on every machine: the same kind
+/// with a bitwise-equal descriptor (the repeat count is a charge detail).
+bool same_descriptor(const ProbeOp& a, const ProbeOp& b) {
+  if (a.kind != b.kind) return false;
+  switch (a.kind) {
+    case ProbeOp::Kind::Vector: return same_bits(a.vec, b.vec);
+    case ProbeOp::Kind::Scalar: return same_bits(a.scalar, b.scalar);
+    case ProbeOp::Kind::Intrinsic: return a.f == b.f && a.calls == b.calls;
+  }
+  return false;
+}
+
+/// Point every op of `probe` at its descriptor in probe.distinct. A linear
+/// scan: probes hold at most a few dozen distinct descriptors.
+void intern(Probe& probe) {
+  for (ProbeOp& op : probe.ops) {
+    std::size_t slot = 0;
+    while (slot < probe.distinct.size() &&
+           !same_descriptor(probe.distinct[slot], op)) {
+      ++slot;
+    }
+    if (slot == probe.distinct.size()) {
+      probe.distinct.push_back(op);
+      probe.distinct.back().repeats = 1;
+      probe.distinct.back().slot = slot;
+    }
+    op.slot = slot;
+  }
+}
+
+Probe record(std::string_view kernel) {
   Probe probe;
   probe.kernel = std::string(kernel);
   if (kernel == "vfft") {
@@ -150,49 +202,76 @@ Probe record_probe(std::string_view kernel) {
       op.repeats = 128;  // 256 / 2 butterflies per stage
       probe.ops.push_back(op);
     }
-    return probe;
-  }
-
-  // Run the kernel's numerics once against the SX-4 with a recorder
-  // attached; the captured stream is the *logical* charges, so replaying
-  // it against scalar machines still takes their scalar fallback path.
-  Comparator machine(Comparator::nec_sx4_single());
-  Recorder recorder(probe.ops);
-  machine.set_op_sink(&recorder);
-  if (kernel == "radabs") {
-    (void)radabs::run_radabs_standard(machine);
-  } else if (kernel == "hint") {
-    (void)hint::run_hint(machine, 50'000);
   } else {
-    fail("record_probe: unknown kernel '" + probe.kernel +
-         "' (known: radabs, hint, vfft)");
+    // Run the kernel's numerics once against the SX-4 with a recorder
+    // attached; the captured stream is the *logical* charges, so replaying
+    // it against scalar machines still takes their scalar fallback path.
+    Comparator machine(Comparator::nec_sx4_single());
+    Recorder recorder(probe.ops);
+    machine.set_op_sink(&recorder);
+    if (kernel == "radabs") {
+      (void)radabs::run_radabs_standard(machine);
+    } else {
+      (void)hint::run_hint(machine, 50'000);
+    }
   }
+  intern(probe);
   return probe;
+}
+
+}  // namespace
+
+const Probe& record_probe(std::string_view kernel) {
+  // One function-local static per kernel: recorded on first use, once per
+  // process, thread-safe under concurrent first calls.
+  if (kernel == "radabs") {
+    static const Probe radabs = record("radabs");
+    return radabs;
+  }
+  if (kernel == "hint") {
+    static const Probe hint = record("hint");
+    return hint;
+  }
+  if (kernel == "vfft") {
+    static const Probe vfft = record("vfft");
+    return vfft;
+  }
+  fail("record_probe: unknown kernel '" + std::string(kernel) +
+       "' (known: radabs, hint, vfft)");
 }
 
 // ---------------------------------------------------------------------------
 // Replay
 
+namespace {
+
+Comparator::Price price(Comparator& machine, const ProbeOp& op) {
+  switch (op.kind) {
+    case ProbeOp::Kind::Vector: return machine.price(op.vec);
+    case ProbeOp::Kind::Scalar: return machine.price(op.scalar);
+    case ProbeOp::Kind::Intrinsic: break;
+  }
+  return machine.price(op.f, op.calls);
+}
+
+}  // namespace
+
 Replay replay_probe(const Probe& probe, const Spec& spec) {
   Comparator machine(spec);
+  // Price each distinct descriptor once on this spec, then charge the
+  // recorded sequence in order from the table.
+  std::vector<Comparator::Price> prices;
+  prices.reserve(probe.distinct.size());
+  for (const ProbeOp& d : probe.distinct) prices.push_back(price(machine, d));
   for (const ProbeOp& op : probe.ops) {
-    switch (op.kind) {
-      case ProbeOp::Kind::Vector:
-        machine.vec(op.vec, op.repeats);
-        break;
-      case ProbeOp::Kind::Scalar:
-        machine.scalar(op.scalar);
-        break;
-      case ProbeOp::Kind::Intrinsic:
-        machine.intrinsic(op.f, op.calls);
-        break;
-    }
+    NCAR_REQUIRE(op.slot < prices.size(), "probe op outside its price table");
+    machine.charge(prices[op.slot], op.repeats);
   }
   Replay r;
   r.seconds = machine.seconds().value();
   r.hw_flops = machine.hw_flops().value();
-  r.cache_hits = machine.cpu().cost_cache_hits();
-  r.cache_misses = machine.cpu().cost_cache_misses();
+  r.cache_misses = prices.size();
+  r.cache_hits = probe.ops.size() - prices.size();
   return r;
 }
 
@@ -279,10 +358,10 @@ SweepReport run_sweep(const Grid& grid, const SweepOptions& opts) {
   rep.axes = grid.axes();
   rep.points.resize(grid.size());
 
-  const Probe probe = record_probe(opts.kernel);
+  const Probe& probe = record_probe(opts.kernel);
 
   // Bounded-memory witness: each in-flight point owns one replay workspace
-  // (a Comparator + its cost caches); the peak gauge can never exceed the
+  // (a Comparator + its price table); the peak gauge can never exceed the
   // host thread count, no matter the grid size.
   std::atomic<int> live{0};
   std::atomic<int> peak{0};

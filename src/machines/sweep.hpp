@@ -9,14 +9,19 @@
 // pending-config memory stays bounded no matter how large the product.
 //
 // Charging a real kernel against every config would re-run the numerics
-// thousands of times, so the engine records the kernel ONCE: an OpSink on a
-// Comparator captures the logical op stream (RADABS ~1e3 descriptors, HINT
-// ~1e2, VFFT a handful with repeat counts), and replay against each swept
-// config is pure timing-model evaluation that leans on the per-config
-// CostCache. Each point is then classified memory-bound vs compute-bound
-// by perturbation twins — does doubling the memory port help more than
-// doubling the arithmetic pipes? — and neighbouring points that disagree
-// form the flip boundary the report flags.
+// thousands of times, so the engine records each kernel ONCE per process:
+// an OpSink on a Comparator captures the logical op stream (RADABS 1089
+// charges, HINT 49, VFFT 8 with repeat counts), and record_probe() keeps
+// it in a function-local static. Recording also interns the stream: each
+// charge points at one of the probe's bitwise-distinct descriptors (RADABS
+// 23, HINT 2, VFFT 1). Replay against a swept config prices each distinct
+// descriptor once on that config, then charges the recorded sequence in
+// order from the price table — the same products in the same order as a
+// direct run, so every double is unchanged. Each point is then classified
+// memory-bound vs compute-bound by perturbation twins — does doubling the
+// memory port help more than doubling the arithmetic pipes? — and
+// neighbouring points that disagree form the flip boundary the report
+// flags.
 //
 // Determinism: replay is a pure function of (probe, config), points are
 // written into a preallocated slot per index, and aggregate counters are
@@ -85,12 +90,18 @@ struct ProbeOp {
   sxs::ScalarOp scalar;    ///< Kind::Scalar
   sxs::Intrinsic f = sxs::Intrinsic::Exp;  ///< Kind::Intrinsic
   long calls = 0;          ///< Kind::Intrinsic
+  /// Index of this charge's descriptor in Probe::distinct.
+  std::size_t slot = 0;
 };
 
 /// A kernel's logical op stream, recorded once and replayed per config.
 struct Probe {
   std::string kernel;
+  /// The recorded charges, in order.
   std::vector<ProbeOp> ops;
+  /// The bitwise-distinct descriptors of `ops` (repeat counts aside), in
+  /// order of first use: what a replay prices.
+  std::vector<ProbeOp> distinct;
 
   /// Total charges after expanding repeat counts (reporting only).
   double total_charges() const;
@@ -99,15 +110,19 @@ struct Probe {
 /// Kernels record_probe understands: "radabs", "hint", "vfft".
 std::vector<std::string> probe_kernels();
 
-/// Record `kernel`'s op stream by running its numerics once against an
-/// SX-4 Comparator with an OpSink attached ("vfft" charges the documented
-/// stage structure directly). Throws ncar::config_error on unknown names.
-Probe record_probe(std::string_view kernel);
+/// `kernel`'s op stream, recorded on first use by running its numerics
+/// once against an SX-4 Comparator with an OpSink attached ("vfft" charges
+/// the documented stage structure directly). Each kernel is recorded once
+/// per process (thread-safe) and every call returns that one recording.
+/// Throws ncar::config_error on unknown names.
+const Probe& record_probe(std::string_view kernel);
 
 /// Timing-model replay of a probe against one spec.
 struct Replay {
   double seconds = 0;
   double hw_flops = 0;
+  /// The price table's counts: each distinct descriptor priced is a miss,
+  /// each charge served from the table a hit (hits + misses = charges).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
 };
@@ -153,7 +168,8 @@ struct SweepReport {
   std::vector<Axis> axes;
   std::vector<PointResult> points;
   std::vector<FlipEdge> flips;
-  /// Order-independent sums over all points (deterministic, serialised).
+  /// Order-independent sums of the points' Replay price-table counts
+  /// (deterministic, serialised).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// Peak simultaneously-live replay workspaces (bounded-memory witness:
@@ -171,8 +187,8 @@ struct SweepReport {
   std::string to_json() const;
 };
 
-/// Record the kernel once, replay it over every grid point (each point
-/// plus its two perturbation twins), classify, and find flip edges.
+/// Replay the kernel's probe over every grid point (each point plus its
+/// two perturbation twins), classify, and find flip edges.
 SweepReport run_sweep(const Grid& grid, const SweepOptions& opts);
 
 }  // namespace ncar::machines

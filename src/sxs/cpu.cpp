@@ -58,82 +58,89 @@ void Cpu::record(trace::Category category, double start, double charged,
   trace_.span(category, start, charged, tag);
 }
 
-void Cpu::vec(const VectorOp& op, long repeats) {
-  vec_impl(op, repeats, classify(op));
+void Cpu::apply(const Price& p, long repeats) {
+  // One formula serves every kind: a factor that is 1.0 for a kind (the
+  // multiplier outside intrinsics, a single repeat) leaves a product's bits
+  // unchanged, so each kind adds exactly what its own formula would.
+  const double reps = static_cast<double>(repeats);
+  const double c = p.cycles_ * contention_ * p.multiplier_ * reps;
+  const double start = cycles_ + trace_time_offset_;
+  cycles_ += c;
+  switch (p.bucket_) {
+    case Price::Bucket::Vector: vector_cycles_ += c; break;
+    case Price::Bucket::Scalar: scalar_cycles_ += c; break;
+    case Price::Bucket::Intrinsic: intrinsic_cycles_ += c; break;
+  }
+  record(p.category_, start, c, p.base_ * reps, p.miss_ * reps,
+         p.gather_scatter_ * reps, p.tag_);
+
+  const double total = p.elems_ * reps;
+  hw_flops_ += total * p.hw_flops_per_elem_;
+  equiv_flops_ += total * p.equiv_flops_per_elem_;
 }
 
-void Cpu::vec(const VectorOp& op, long repeats, trace::Category category) {
-  vec_impl(op, repeats, category);
-}
-
-void Cpu::vec_impl(const VectorOp& op, long repeats,
-                   trace::Category category) {
+void Cpu::charge(const Price& p, long repeats) {
+  NCAR_REQUIRE(p.config_ == cfg_, "price from another Cpu");
   NCAR_REQUIRE(repeats >= 0, "negative repeat count");
   if (repeats == 0) return;
-  const double reps = static_cast<double>(repeats);
+  apply(p, repeats);
+}
+
+Cpu::Price Cpu::price(const VectorOp& op) {
   const double cost = vec_cost(op);
-  const double c = cost * contention_ * reps;
-  const double start = cycles_ + trace_time_offset_;
-  cycles_ += c;
-  vector_cycles_ += c;
+  Price p(cfg_, Price::Bucket::Vector, classify(op), "vec");
+  p.cycles_ = cost;
+  p.base_ = cost;
+  p.elems_ = static_cast<double>(op.n);
+  p.hw_flops_per_elem_ = op.flops_per_elem + op.div_per_elem;
+  p.equiv_flops_per_elem_ = p.hw_flops_per_elem_;
 
-  // Refined attribution (summary/full): reprice the loop with unit strides
-  // to carve the stride-conflict premium out of the pipe category and into
-  // bank_conflict, and with the list-vector traffic removed to carve the
-  // gather/scatter premium into gather_scatter. Off mode keeps the hot
-  // path to the counter updates.
-  double base = cost * reps;
-  double gather_scatter = 0.0;
-  if (trace::mode() != trace::Mode::Off) {
-    if (op.load_stride != 1 || op.store_stride != 1) {
-      VectorOp unit = op;
-      unit.load_stride = 1;
-      unit.store_stride = 1;
-      const double unit_cost = vec_cost(unit);
-      if (unit_cost < cost) base = unit_cost * reps;
-    }
-    if (op.gather_words > 0 || op.scatter_words > 0) {
-      VectorOp contiguous = op;
-      contiguous.gather_words = 0;
-      contiguous.scatter_words = 0;
-      const double contiguous_cost = vec_cost(contiguous);
-      if (contiguous_cost < cost) {
-        gather_scatter = (cost - contiguous_cost) * reps;
-      }
-    }
+  if (trace::mode() != trace::Mode::Off) refine(p, op);
+  return p;
+}
+
+void Cpu::refine(Price& p, const VectorOp& op) {
+  // Reprice the loop with unit strides to carve the stride-conflict premium
+  // out of the pipe category and into bank_conflict, and with the
+  // list-vector traffic removed to carve the gather/scatter premium into
+  // gather_scatter.
+  const double cost = p.cycles_;
+  if (op.load_stride != 1 || op.store_stride != 1) {
+    VectorOp unit = op;
+    unit.load_stride = 1;
+    unit.store_stride = 1;
+    const double unit_cost = vec_cost(unit);
+    if (unit_cost < cost) p.base_ = unit_cost;
   }
-  record(category, start, c, base, 0.0, gather_scatter, "vec");
-
-  const double n = static_cast<double>(op.n) * reps;
-  const double flops = n * (op.flops_per_elem + op.div_per_elem);
-  hw_flops_ += flops;
-  equiv_flops_ += flops;
+  if (op.gather_words > 0 || op.scatter_words > 0) {
+    VectorOp contiguous = op;
+    contiguous.gather_words = 0;
+    contiguous.scatter_words = 0;
+    const double contiguous_cost = vec_cost(contiguous);
+    if (contiguous_cost < cost) p.gather_scatter_ = cost - contiguous_cost;
+  }
 }
 
-void Cpu::scalar(const ScalarOp& op) {
+Cpu::Price Cpu::price(const ScalarOp& op) {
   const double cost = scalar_cost(op);
-  const double c = cost * contention_;
-  const double start = cycles_ + trace_time_offset_;
-  cycles_ += c;
-  scalar_cycles_ += c;
-
-  const double miss =
-      trace::mode() != trace::Mode::Off ? scalar_miss_cost(op) : 0.0;
-  record(trace::Category::Scalar, start, c, cost, miss, 0.0, "scalar");
-
-  const double flops =
-      static_cast<double>(op.iters) * op.flops_per_iter;
-  hw_flops_ += flops;
-  equiv_flops_ += flops;
+  Price p(cfg_, Price::Bucket::Scalar, trace::Category::Scalar, "scalar");
+  p.cycles_ = cost;
+  p.base_ = cost;
+  p.miss_ = trace::mode() != trace::Mode::Off ? scalar_miss_cost(op) : 0.0;
+  p.elems_ = static_cast<double>(op.iters);
+  p.hw_flops_per_elem_ = op.flops_per_iter;
+  p.equiv_flops_per_elem_ = op.flops_per_iter;
+  return p;
 }
 
-void Cpu::intrinsic(Intrinsic f, long n, double extra_load_words,
-                    double extra_store_words, double cycle_multiplier,
-                    long repeats) {
+Cpu::Price Cpu::price_intrinsic(Intrinsic f, long n, double extra_load_words,
+                                double extra_store_words,
+                                double cycle_multiplier) {
   NCAR_REQUIRE(n >= 0, "negative intrinsic count");
-  NCAR_REQUIRE(repeats >= 0, "negative repeat count");
   NCAR_REQUIRE(cycle_multiplier >= 1.0, "cycle multiplier below 1");
-  if (n == 0 || repeats == 0) return;
+  Price p(cfg_, Price::Bucket::Intrinsic, trace::Category::VectorMul,
+          "intrinsic");
+  if (n == 0) return p;  // charges nothing
   const IntrinsicCost cost = intrinsic_cost(f);
   VectorOp op;
   op.n = n;
@@ -142,24 +149,21 @@ void Cpu::intrinsic(Intrinsic f, long n, double extra_load_words,
   op.load_words = extra_load_words;
   op.store_words = extra_store_words;
   op.pipe_groups = 2;
-  const double reps = static_cast<double>(repeats);
   const double op_cost = vec_cost(op);
-  const double c = op_cost * contention_ * cycle_multiplier * reps;
-  const double start = cycles_ + trace_time_offset_;
-  cycles_ += c;
-  intrinsic_cycles_ += c;
-
-  record(trace::Category::VectorMul, start, c,
-         op_cost * cycle_multiplier * reps, 0.0, 0.0, "intrinsic");
-
-  const double total = static_cast<double>(n) * reps;
-  hw_flops_ += total * (cost.hw_flops + cost.hw_div);
-  equiv_flops_ += total * cost.equiv_flops;
+  p.cycles_ = op_cost;
+  p.multiplier_ = cycle_multiplier;
+  p.base_ = op_cost * cycle_multiplier;
+  p.elems_ = static_cast<double>(n);
+  p.hw_flops_per_elem_ = cost.hw_flops + cost.hw_div;
+  p.equiv_flops_per_elem_ = cost.equiv_flops;
+  return p;
 }
 
-void Cpu::scalar_intrinsic(Intrinsic f, long n) {
+Cpu::Price Cpu::price_scalar_intrinsic(Intrinsic f, long n) {
   NCAR_REQUIRE(n >= 0, "negative intrinsic count");
-  if (n == 0) return;
+  Price p(cfg_, Price::Bucket::Intrinsic, trace::Category::Scalar,
+          "scalar_intrinsic");
+  if (n == 0) return p;  // charges nothing
   const IntrinsicCost cost = intrinsic_cost(f);
   ScalarOp op;
   op.iters = n;
@@ -169,18 +173,47 @@ void Cpu::scalar_intrinsic(Intrinsic f, long n) {
   op.working_set_bytes = 4096;  // coefficient tables stay resident
   op.reuse_fraction = 0.9;
   const double op_cost = scalar_cost(op);
-  const double c = op_cost * contention_;
-  const double start = cycles_ + trace_time_offset_;
-  cycles_ += c;
-  intrinsic_cycles_ += c;
+  p.cycles_ = op_cost;
+  p.base_ = op_cost;
+  p.miss_ = trace::mode() != trace::Mode::Off ? scalar_miss_cost(op) : 0.0;
+  p.elems_ = static_cast<double>(n);
+  p.hw_flops_per_elem_ = cost.hw_flops + cost.hw_div;
+  p.equiv_flops_per_elem_ = cost.equiv_flops;
+  return p;
+}
 
-  const double miss =
-      trace::mode() != trace::Mode::Off ? scalar_miss_cost(op) : 0.0;
-  record(trace::Category::Scalar, start, c, op_cost, miss, 0.0,
-         "scalar_intrinsic");
+void Cpu::vec(const VectorOp& op, long repeats) {
+  NCAR_REQUIRE(repeats >= 0, "negative repeat count");
+  if (repeats == 0) return;
+  apply(price(op), repeats);
+}
 
-  hw_flops_ += static_cast<double>(n) * (cost.hw_flops + cost.hw_div);
-  equiv_flops_ += static_cast<double>(n) * cost.equiv_flops;
+void Cpu::vec(const VectorOp& op, long repeats, trace::Category category) {
+  NCAR_REQUIRE(repeats >= 0, "negative repeat count");
+  if (repeats == 0) return;
+  Price p = price(op);
+  p.category_ = category;
+  apply(p, repeats);
+}
+
+void Cpu::scalar(const ScalarOp& op) { apply(price(op), 1); }
+
+void Cpu::intrinsic(Intrinsic f, long n, double extra_load_words,
+                    double extra_store_words, double cycle_multiplier,
+                    long repeats) {
+  NCAR_REQUIRE(n >= 0, "negative intrinsic count");
+  NCAR_REQUIRE(repeats >= 0, "negative repeat count");
+  NCAR_REQUIRE(cycle_multiplier >= 1.0, "cycle multiplier below 1");
+  if (n == 0 || repeats == 0) return;
+  apply(price_intrinsic(f, n, extra_load_words, extra_store_words,
+                        cycle_multiplier),
+        repeats);
+}
+
+void Cpu::scalar_intrinsic(Intrinsic f, long n) {
+  NCAR_REQUIRE(n >= 0, "negative intrinsic count");
+  if (n == 0) return;
+  apply(price_scalar_intrinsic(f, n), 1);
 }
 
 void Cpu::charge_cycles(Cycles cycles, trace::Category category) {

@@ -6,6 +6,13 @@
 // currencies: hardware flops (what our pipes executed) and Cray-Y-MP
 // equivalent flops (the unit the paper reports for RADABS and CCM2).
 //
+// Pricing is split from charging. price() evaluates a descriptor against
+// this Cpu's configuration into a Price; charge() adds a Price to the
+// accumulators, applying contention and the repeat count. Every charging
+// entry point is charge(price(...)), so a caller that holds a Price (the
+// sweep engine's replay, machines/sweep.hpp) adds the same products in the
+// same order as a direct charge.
+//
 // Pricing is memoized: VectorUnit::cycles / ScalarUnit::cycles are pure
 // functions of (descriptor, MachineConfig), so each Cpu keeps an op-cost
 // cache (common/cost_cache.hpp) keyed by the full descriptor tuple.
@@ -37,6 +44,50 @@ public:
   // configuration; copying or moving would leave them dangling.
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
+
+  // --- pricing ---------------------------------------------------------------
+  /// One charge evaluated against a Cpu's configuration: its cycles per
+  /// repeat and the flop and attribution figures charge() adds. Only a Cpu
+  /// on the same MachineConfig object may charge it. Contention applies at
+  /// charge time; the attribution refinement that tracing adds follows the
+  /// trace mode at pricing time.
+  class Price {
+  private:
+    friend class Cpu;
+    enum class Bucket { Vector, Scalar, Intrinsic };
+
+    Price(const MachineConfig* config, Bucket bucket,
+          trace::Category category, const char* tag)
+        : config_(config), category_(category), bucket_(bucket), tag_(tag) {}
+
+    const MachineConfig* config_;
+    double cycles_ = 0;          ///< priced cycles per repeat
+    double multiplier_ = 1.0;    ///< time scale (vector libm tuning)
+    double base_ = 0;            ///< attribution base per repeat
+    double miss_ = 0;            ///< cache-miss share per repeat
+    double gather_scatter_ = 0;  ///< gather/scatter share per repeat
+    double elems_ = 0;           ///< elements (iterations, calls) per repeat
+    double hw_flops_per_elem_ = 0;
+    double equiv_flops_per_elem_ = 0;
+    trace::Category category_;
+    Bucket bucket_;
+    const char* tag_;
+  };
+
+  /// Price a vectorised loop (see vec()).
+  Price price(const VectorOp& op);
+  /// Price a scalar-mode loop (see scalar()).
+  Price price(const ScalarOp& op);
+  /// Price `n` vectorised intrinsic evaluations (see intrinsic()).
+  Price price_intrinsic(Intrinsic f, long n, double extra_load_words,
+                        double extra_store_words, double cycle_multiplier);
+  /// Price `n` scalar intrinsic evaluations (see scalar_intrinsic()).
+  Price price_scalar_intrinsic(Intrinsic f, long n);
+
+  /// Add `price` to the accumulators `repeats` times in one product:
+  /// vec(op, r) is charge(price(op), r), bit for bit. Throws
+  /// ncar::precondition_error when `price` came from another configuration.
+  void charge(const Price& price, long repeats = 1);
 
   // --- charging ------------------------------------------------------------
   /// Charge a vectorised loop, `repeats` times (the common case of an
@@ -133,9 +184,15 @@ public:
   const ScalarUnit& scalar_unit() const { return su_; }
 
 private:
-  /// Shared body of the vec() overloads: `category` is where the charge is
-  /// filed (classify(op) for the default overload).
-  void vec_impl(const VectorOp& op, long repeats, trace::Category category);
+  /// charge() without its preconditions, for the charging entry points,
+  /// which price on this Cpu and check `repeats` (>= 1) themselves. Always
+  /// inlined: a call here would cost the hot path a stack round trip of
+  /// the Price.
+  [[gnu::always_inline]] inline void apply(const Price& price, long repeats);
+
+  /// The attribution refinement of price(op) in every trace mode but off;
+  /// out of line so the off-mode path stays small.
+  [[gnu::noinline]] void refine(Price& price, const VectorOp& op);
 
   /// Cycles for `op`, via the cache (pure in op given the fixed config).
   double vec_cost(const VectorOp& op);

@@ -4,9 +4,8 @@
 
 namespace ncar::trace {
 
-void Collector::span(Category c, double start, double ticks,
-                     const char* tag) {
-  if (stream_ == nullptr) return;
+void Collector::forward_span(Category c, double start, double ticks,
+                             const char* tag) {
   if (ticks <= 0) return;  // zero-width boxes only clutter the timeline
   if (!spans_enabled(mode())) return;
   stream_->record(c, start, ticks, tag);

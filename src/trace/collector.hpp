@@ -55,7 +55,10 @@ public:
   // --- spans (Mode::Full and Mode::Stream) -------------------------------
   /// Forward a span to the attached streaming sink when the mode records
   /// spans; a no-op with no sink attached or a non-positive duration.
-  void span(Category c, double start, double ticks, const char* tag);
+  /// The no-sink test is inline: every charge calls this.
+  void span(Category c, double start, double ticks, const char* tag) {
+    if (stream_ != nullptr) forward_span(c, start, ticks, tag);
+  }
 
   /// Attach/detach the span destination. The sink must outlive every
   /// span() call that can see it; pass nullptr to detach.
@@ -81,6 +84,8 @@ public:
   void reset();
 
 private:
+  void forward_span(Category c, double start, double ticks, const char* tag);
+
   double seconds_per_tick_;
   double total_ = 0;
   double category_[kCategoryCount] = {};

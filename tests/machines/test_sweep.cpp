@@ -1,20 +1,23 @@
-// Sweep determinism + bounded-memory battery (ISSUE 7 satellite): the grid
-// is lazy (index-decoded, never materialised), sequential and threaded
-// sweeps emit byte-identical JSON, repeated runs are byte-identical, and
-// the number of simultaneously-live replay workspaces is bounded by the
-// host thread count.
+// Sweep determinism + bounded-memory battery: the grid is lazy
+// (index-decoded, never materialised), sequential and threaded sweeps emit
+// byte-identical JSON, repeated runs are byte-identical, the number of
+// simultaneously-live replay workspaces is bounded by the host thread
+// count, and every double of the design_sweep grid is pinned.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "hint/hint.hpp"
 #include "machines/description.hpp"
 #include "machines/sweep.hpp"
 #include "radabs/radabs.hpp"
+#include "support/fnv1a.hpp"
 #include "sxs/execution_policy.hpp"
 
 namespace {
@@ -22,6 +25,7 @@ namespace {
 using ncar::ThreadPool;
 using ncar::machines::Axis;
 using ncar::machines::builtin_catalog;
+using ncar::machines::builtin_names;
 using ncar::machines::Comparator;
 using ncar::machines::Grid;
 using ncar::machines::MachineDescription;
@@ -103,15 +107,31 @@ TEST(Grid, RejectsBadAxes) {
 TEST(Probe, RecordedRadabsReplaysBitIdentically) {
   // The whole engine rests on this: replaying the recorded op stream must
   // charge exactly what the real kernel run charged, machine by machine.
-  const Probe probe = record_probe("radabs");
+  // The catalog holds scalar machines too, so the Comparator's scalar
+  // fallback is proven against a direct run as well.
+  const auto& probe = record_probe("radabs");
   EXPECT_GT(probe.ops.size(), 1000u);
-  for (const auto* name : {"NEC SX-4/1", "CRI Y-MP", "SUN Sparc20",
-                           "NEC SX-Aurora TSUBASA"}) {
+  for (const std::string& name : builtin_names()) {
     SCOPED_TRACE(name);
     Comparator machine(ncar::machines::spec_for(name));
     const auto direct = ncar::radabs::run_radabs_standard(machine);
     const auto replay = replay_probe(probe, ncar::machines::spec_for(name));
     EXPECT_EQ(replay.seconds, direct.seconds);
+    EXPECT_EQ(replay.seconds, machine.seconds().value());
+    EXPECT_EQ(replay.hw_flops, machine.hw_flops().value());
+  }
+}
+
+TEST(Probe, RecordedHintReplaysBitIdentically) {
+  const auto& probe = record_probe("hint");
+  for (const std::string& name : builtin_names()) {
+    SCOPED_TRACE(name);
+    Comparator machine(ncar::machines::spec_for(name));
+    const auto direct = ncar::hint::run_hint(machine, 50'000);
+    const auto replay = replay_probe(probe, ncar::machines::spec_for(name));
+    EXPECT_EQ(replay.seconds, direct.seconds);
+    EXPECT_EQ(replay.seconds, machine.seconds().value());
+    EXPECT_EQ(replay.hw_flops, machine.hw_flops().value());
   }
 }
 
@@ -128,20 +148,71 @@ TEST(Probe, KernelsRecordAndUnknownNamesThrow) {
 }
 
 TEST(Probe, ReplayCostCacheCountsArePinned) {
-  // The committed bench baselines record these op-cost cache counts. They
-  // depend on the cache's geometry (initial slots, probe window, hash,
-  // growth and eviction), so a geometry change fails here first.
-  const auto spec = ncar::machines::spec_for("NEC SX-4/1");
+  // A replay's counts are its price table's: each bitwise-distinct
+  // descriptor is priced once (a miss) and every recorded charge is served
+  // from the table (the rest are hits), so hits + misses = charges on any
+  // machine. design_sweep's cost_cache row sums these over its points.
   const auto expect_counts = [&](const char* kernel, std::uint64_t hits,
                                  std::uint64_t misses) {
     SCOPED_TRACE(kernel);
-    const auto replay = replay_probe(record_probe(kernel), spec);
-    EXPECT_EQ(replay.cache_hits, hits);
-    EXPECT_EQ(replay.cache_misses, misses);
+    const auto& probe = record_probe(kernel);
+    EXPECT_EQ(probe.distinct.size(), misses);
+    EXPECT_EQ(probe.ops.size(), hits + misses);
+    for (const std::string& name : builtin_names()) {
+      SCOPED_TRACE(name);
+      const auto replay =
+          replay_probe(probe, ncar::machines::spec_for(name));
+      EXPECT_EQ(replay.cache_hits, hits);
+      EXPECT_EQ(replay.cache_misses, misses);
+    }
   };
-  expect_counts("radabs", 1050, 39);
+  expect_counts("radabs", 1066, 23);
   expect_counts("hint", 47, 2);
   expect_counts("vfft", 7, 1);
+}
+
+TEST(Probe, EveryOpPointsAtItsDistinctDescriptor) {
+  for (const std::string& kernel : ncar::machines::probe_kernels()) {
+    SCOPED_TRACE(kernel);
+    const auto& probe = record_probe(kernel);
+    for (std::size_t s = 0; s < probe.distinct.size(); ++s) {
+      EXPECT_EQ(probe.distinct[s].slot, s);
+    }
+    for (const auto& op : probe.ops) {
+      ASSERT_LT(op.slot, probe.distinct.size());
+      const auto& d = probe.distinct[op.slot];
+      EXPECT_EQ(d.kind, op.kind);
+      EXPECT_EQ(d.vec, op.vec);
+      EXPECT_EQ(d.scalar, op.scalar);
+      EXPECT_EQ(d.f, op.f);
+      EXPECT_EQ(d.calls, op.calls);
+    }
+  }
+}
+
+TEST(Probe, RecordedOncePerProcess) {
+  for (const std::string& kernel : ncar::machines::probe_kernels()) {
+    EXPECT_EQ(&record_probe(kernel), &record_probe(kernel)) << kernel;
+  }
+}
+
+TEST(Probe, RacingFirstUseGivesIdenticalSweeps) {
+  // Two sweeps started together from two host threads race to record each
+  // kernel's probe and must still agree byte for byte. ctest runs every
+  // test in a process of its own, so there this is the probes' first use.
+  for (const std::string& kernel : ncar::machines::probe_kernels()) {
+    SCOPED_TRACE(kernel);
+    SweepOptions opts;
+    opts.kernel = kernel;
+    opts.policy = ExecutionPolicy::Sequential;
+    std::string a, b;
+    std::thread ta([&] { a = run_sweep(small_grid(), opts).to_json(); });
+    std::thread tb([&] { b = run_sweep(small_grid(), opts).to_json(); });
+    ta.join();
+    tb.join();
+    EXPECT_FALSE(a.empty());
+    EXPECT_EQ(a, b);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -189,6 +260,73 @@ TEST(Sweep, LiveWorkspacesBoundedByHostThreads) {
   const SweepReport b = run_sweep(small_grid(), thr);
   EXPECT_GE(b.peak_live_workspaces, 1);
   EXPECT_LE(b.peak_live_workspaces, pool.thread_count());
+}
+
+// ---------------------------------------------------------------------------
+// Pinned sweep and replay results
+
+/// bench/design_sweep's default grid: 6 * 5 * 5 * 4 * 2 = 1200 points.
+Grid design_sweep_grid() {
+  return Grid(sx4_base(), {
+                              {"pipes_per_group", {1, 2, 4, 8, 16, 32}},
+                              {"vector_length", {32, 64, 128, 256, 512}},
+                              {"port_bytes_per_clock", {16, 32, 64, 128, 256}},
+                              {"memory_banks", {256, 512, 1024, 2048}},
+                              {"clock_ns", {9.2, 8}},
+                          });
+}
+
+/// FNV-1a over every point's verdict, bit for bit.
+std::uint64_t points_hash(const SweepReport& rep) {
+  std::vector<double> v;
+  v.reserve(rep.points.size() * 6);
+  for (const auto& p : rep.points) {
+    v.push_back(p.valid ? 1.0 : 0.0);
+    v.push_back(p.seconds);
+    v.push_back(p.hw_mflops);
+    v.push_back(p.memory_gain);
+    v.push_back(p.compute_gain);
+    v.push_back(p.memory_bound ? 1.0 : 0.0);
+  }
+  return ncar::test::fnv1a(v);
+}
+
+/// FNV-1a over replay seconds and hardware flops on every catalog machine.
+std::uint64_t catalog_replay_hash(const std::string& kernel) {
+  std::vector<double> v;
+  for (const std::string& name : builtin_names()) {
+    const auto r = replay_probe(record_probe(kernel),
+                                ncar::machines::spec_for(name));
+    v.push_back(r.seconds);
+    v.push_back(r.hw_flops);
+  }
+  return ncar::test::fnv1a(v);
+}
+
+// Every double a sweep produces, pinned. Pricing may be restructured (cost
+// caches, price tables, probe memoisation) but must add the same products
+// in the same order, so none of these hashes may move.
+TEST(SweepPinned, DesignSweepDefaultGridPoints) {
+  ThreadPool pool(4);
+  SweepOptions opts;
+  opts.policy = ExecutionPolicy::Threaded;
+  opts.pool = &pool;
+  const Grid grid = design_sweep_grid();
+  ASSERT_EQ(grid.size(), 1200u);
+  const auto expect_hash = [&](const char* kernel, std::uint64_t hash) {
+    SCOPED_TRACE(kernel);
+    opts.kernel = kernel;
+    EXPECT_EQ(points_hash(run_sweep(grid, opts)), hash);
+  };
+  expect_hash("radabs", 0x0dcf17775bb6c025ull);
+  expect_hash("hint", 0xa2cb7e52d80c49d5ull);
+  expect_hash("vfft", 0xf7b91508ca53a1bdull);
+}
+
+TEST(SweepPinned, CatalogReplays) {
+  EXPECT_EQ(catalog_replay_hash("radabs"), 0xd9867163e6a1243full);
+  EXPECT_EQ(catalog_replay_hash("hint"), 0xcccf4c0754967875ull);
+  EXPECT_EQ(catalog_replay_hash("vfft"), 0x169e929f22b321c4ull);
 }
 
 // ---------------------------------------------------------------------------

@@ -160,6 +160,72 @@ TEST_F(CpuTest, CachedChargesAreBitIdenticalToFirstSight) {
   EXPECT_GE(cpu.cost_cache_hits(), 1u);
 }
 
+TEST_F(CpuTest, PricedChargesMatchDirectChargesBitForBit) {
+  // vec/scalar/intrinsic are charge(price(...)): a Price held and charged
+  // later, under contention and in summary mode (which refines the
+  // attribution), adds exactly what the direct call adds.
+  const ModeGuard guard(trace::Mode::Summary);
+  VectorOp strided;
+  strided.n = 777;
+  strided.flops_per_elem = 3;
+  strided.load_words = 2;
+  strided.gather_words = 1;
+  strided.load_stride = 4;
+  ScalarOp loop;
+  loop.iters = 500;
+  loop.flops_per_iter = 2;
+  loop.mem_words_per_iter = 3;
+  loop.working_set_bytes = 1 << 20;
+
+  Cpu direct{cfg};
+  Cpu priced{cfg};
+  direct.set_contention(1.3);
+  priced.set_contention(1.3);
+  const Cpu::Price v = priced.price(strided);
+  const Cpu::Price s = priced.price(loop);
+  const Cpu::Price i = priced.price_intrinsic(Intrinsic::Exp, 300, 1.0, 1.0,
+                                              1.5);
+  const Cpu::Price si = priced.price_scalar_intrinsic(Intrinsic::Log, 40);
+  for (int round = 0; round < 3; ++round) {
+    direct.vec(strided, 17);
+    priced.charge(v, 17);
+    direct.scalar(loop);
+    priced.charge(s);
+    direct.intrinsic(Intrinsic::Exp, 300, 1.0, 1.0, 1.5, 2);
+    priced.charge(i, 2);
+    direct.scalar_intrinsic(Intrinsic::Log, 40);
+    priced.charge(si);
+  }
+  EXPECT_EQ(priced.cycles(), direct.cycles());
+  EXPECT_EQ(priced.vector_cycles(), direct.vector_cycles());
+  EXPECT_EQ(priced.scalar_cycles(), direct.scalar_cycles());
+  EXPECT_EQ(priced.intrinsic_cycles(), direct.intrinsic_cycles());
+  EXPECT_EQ(priced.hw_flops().value(), direct.hw_flops().value());
+  EXPECT_EQ(priced.equiv_flops().value(), direct.equiv_flops().value());
+  for (int c = 0; c < trace::kCategoryCount; ++c) {
+    const auto cat = static_cast<trace::Category>(c);
+    EXPECT_EQ(priced.trace().category_ticks(cat),
+              direct.trace().category_ticks(cat))
+        << trace::to_string(cat);
+  }
+}
+
+TEST_F(CpuTest, PriceChargesOnlyOnItsConfiguration) {
+  VectorOp op;
+  op.n = 64;
+  op.flops_per_elem = 1;
+  const Cpu::Price p = cpu.price(op);
+  Cpu sibling{cfg};  // same configuration object: the same prices
+  sibling.charge(p);
+  EXPECT_GT(sibling.cycles(), 0.0);
+  const MachineConfig copy = cfg;  // equal, but not the config it priced on
+  Cpu other{copy};
+  EXPECT_THROW(other.charge(p), ncar::precondition_error);
+  EXPECT_THROW(cpu.charge(p, -1), ncar::precondition_error);
+  cpu.charge(p, 0);
+  EXPECT_EQ(cpu.cycles(), 0.0);
+}
+
 TEST_F(CpuTest, ScalarCostCacheCountsSeparately) {
   ScalarOp op;
   op.iters = 100;
