@@ -9,11 +9,11 @@
 // descriptor needs to be evaluated exactly once per evaluator.
 //
 // CostCache is a small open-addressing hash table (linear probing) from a
-// descriptor key to its cached double. Determinism argument: the cached
-// value IS the double the uncached evaluation produced on first sight, so a
-// hit replays the bit-identical result — simulated numbers cannot drift, no
-// matter how the cache behaves. The hits()/misses() counters are threaded
-// into the bench reporter JSON so the win stays observable.
+// descriptor key to its cached value. Determinism argument: the cached value
+// IS what the uncached evaluation produced on first sight, so a hit replays
+// the bit-identical result — simulated numbers cannot drift, no matter how
+// the cache behaves. The hits()/misses() counters are threaded into the
+// bench reporter JSON so the win stays observable.
 //
 // Sizing: the table grows by doubling at 50% load until `kMaxSlots`; past
 // that, a colliding insert overwrites the oldest slot of its probe window.
@@ -44,7 +44,7 @@ inline void hash_combine(std::size_t& seed, std::size_t v) {
   seed ^= v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2);
 }
 
-template <class Key, class Hash, class Eq = std::equal_to<Key>>
+template <class Key, class Value, class Hash, class Eq = std::equal_to<Key>>
 class CostCache {
   static_assert(std::is_trivially_copyable_v<Key>,
                 "slots hold keys in uninitialised storage");
@@ -59,7 +59,7 @@ public:
 
   /// The cached cost of `key`, computing it with `compute()` on first sight.
   template <class Fn>
-  double get(const Key& key, Fn&& compute) {
+  Value get(const Key& key, Fn&& compute) {
     if (capacity_ == 0) allocate(initial_slots_);
     const std::size_t mask = capacity_ - 1;
     std::size_t pos = Hash{}(key)&mask;
@@ -68,7 +68,7 @@ public:
       if (!used_[i]) {
         ++misses_;
         // Return the local copy: grow() may reallocate the slots.
-        const double value = compute();
+        const Value value = compute();
         put(i, key, value);
         if (++occupied_ * 2 > capacity_) grow();
         return value;
@@ -81,7 +81,7 @@ public:
     // Probe window exhausted (only reachable at kMaxSlots): overwrite the
     // window's rotating victim. Deterministic in the insertion sequence.
     ++misses_;
-    const double value = compute();
+    const Value value = compute();
     put((pos + evict_rotor_++ % kProbeWindow) & mask, key, value);
     return value;
   }
@@ -106,7 +106,9 @@ private:
     union {
       Key key;
     };
-    double value;
+    union {
+      Value value;
+    };
   };
 
   static constexpr std::size_t kProbeWindow = 16;
@@ -120,9 +122,9 @@ private:
     capacity_ = slots;
   }
 
-  void put(std::size_t i, const Key& key, double value) {
+  void put(std::size_t i, const Key& key, const Value& value) {
     std::construct_at(&slots_[i].key, key);
-    slots_[i].value = value;
+    std::construct_at(&slots_[i].value, value);
     used_[i] = true;
   }
 

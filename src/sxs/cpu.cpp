@@ -21,17 +21,14 @@ trace::Category classify(const VectorOp& op) {
 
 }  // namespace
 
-double Cpu::vec_cost(const VectorOp& op) {
-  return vec_cost_.get(op, [&] { return vu_.cycles(op).value(); });
+VectorUnit::Costs Cpu::vec_cost(const VectorOp& op) {
+  return vec_cost_.get(op, [&] { return vu_.costs(op); });
 }
 
-double Cpu::scalar_cost(const ScalarOp& op) {
-  return scalar_cost_.get(op, [&] { return su_.cycles(op).value(); });
-}
-
-double Cpu::scalar_miss_cost(const ScalarOp& op) {
-  return scalar_miss_cost_.get(op,
-                               [&] { return su_.miss_cycles(op).value(); });
+Cpu::ScalarCost Cpu::scalar_cost(const ScalarOp& op) {
+  return scalar_cost_.get(op, [&] {
+    return ScalarCost{su_.cycles(op).value(), su_.miss_cycles(op).value()};
+  });
 }
 
 void Cpu::record(trace::Category category, double start, double charged,
@@ -87,46 +84,24 @@ void Cpu::charge(const Price& p, long repeats) {
 }
 
 Cpu::Price Cpu::price(const VectorOp& op) {
-  const double cost = vec_cost(op);
+  // The premiums over the cheaper variants are the attribution splits.
+  const VectorUnit::Costs cost = vec_cost(op);
   Price p(cfg_, Price::Bucket::Vector, classify(op), "vec");
-  p.cycles_ = cost;
-  p.base_ = cost;
+  p.cycles_ = cost.cycles.value();
+  p.base_ = cost.unit_stride.value();
+  p.gather_scatter_ = (cost.cycles - cost.contiguous).value();
   p.elems_ = static_cast<double>(op.n);
   p.hw_flops_per_elem_ = op.flops_per_elem + op.div_per_elem;
   p.equiv_flops_per_elem_ = p.hw_flops_per_elem_;
-
-  if (trace::mode() != trace::Mode::Off) refine(p, op);
   return p;
 }
 
-void Cpu::refine(Price& p, const VectorOp& op) {
-  // Reprice the loop with unit strides to carve the stride-conflict premium
-  // out of the pipe category and into bank_conflict, and with the
-  // list-vector traffic removed to carve the gather/scatter premium into
-  // gather_scatter.
-  const double cost = p.cycles_;
-  if (op.load_stride != 1 || op.store_stride != 1) {
-    VectorOp unit = op;
-    unit.load_stride = 1;
-    unit.store_stride = 1;
-    const double unit_cost = vec_cost(unit);
-    if (unit_cost < cost) p.base_ = unit_cost;
-  }
-  if (op.gather_words > 0 || op.scatter_words > 0) {
-    VectorOp contiguous = op;
-    contiguous.gather_words = 0;
-    contiguous.scatter_words = 0;
-    const double contiguous_cost = vec_cost(contiguous);
-    if (contiguous_cost < cost) p.gather_scatter_ = cost - contiguous_cost;
-  }
-}
-
 Cpu::Price Cpu::price(const ScalarOp& op) {
-  const double cost = scalar_cost(op);
+  const ScalarCost cost = scalar_cost(op);
   Price p(cfg_, Price::Bucket::Scalar, trace::Category::Scalar, "scalar");
-  p.cycles_ = cost;
-  p.base_ = cost;
-  p.miss_ = trace::mode() != trace::Mode::Off ? scalar_miss_cost(op) : 0.0;
+  p.cycles_ = cost.cycles;
+  p.base_ = cost.cycles;
+  p.miss_ = cost.miss;
   p.elems_ = static_cast<double>(op.iters);
   p.hw_flops_per_elem_ = op.flops_per_iter;
   p.equiv_flops_per_elem_ = op.flops_per_iter;
@@ -149,7 +124,7 @@ Cpu::Price Cpu::price_intrinsic(Intrinsic f, long n, double extra_load_words,
   op.load_words = extra_load_words;
   op.store_words = extra_store_words;
   op.pipe_groups = 2;
-  const double op_cost = vec_cost(op);
+  const double op_cost = vec_cost(op).cycles.value();
   p.cycles_ = op_cost;
   p.multiplier_ = cycle_multiplier;
   p.base_ = op_cost * cycle_multiplier;
@@ -172,10 +147,10 @@ Cpu::Price Cpu::price_scalar_intrinsic(Intrinsic f, long n) {
   op.other_ops_per_iter = 6.0;  // call / branch / table indexing overhead
   op.working_set_bytes = 4096;  // coefficient tables stay resident
   op.reuse_fraction = 0.9;
-  const double op_cost = scalar_cost(op);
-  p.cycles_ = op_cost;
-  p.base_ = op_cost;
-  p.miss_ = trace::mode() != trace::Mode::Off ? scalar_miss_cost(op) : 0.0;
+  const ScalarCost op_cost = scalar_cost(op);
+  p.cycles_ = op_cost.cycles;
+  p.base_ = op_cost.cycles;
+  p.miss_ = op_cost.miss;
   p.elems_ = static_cast<double>(n);
   p.hw_flops_per_elem_ = cost.hw_flops + cost.hw_div;
   p.equiv_flops_per_elem_ = cost.equiv_flops;

@@ -13,13 +13,13 @@
 // sweep engine's replay, machines/sweep.hpp) adds the same products in the
 // same order as a direct charge.
 //
-// Pricing is memoized: VectorUnit::cycles / ScalarUnit::cycles are pure
+// Pricing is memoized: VectorUnit::costs / ScalarUnit::cycles are pure
 // functions of (descriptor, MachineConfig), so each Cpu keeps an op-cost
-// cache (common/cost_cache.hpp) keyed by the full descriptor tuple.
-// Contention, cycle multipliers and repeat counts multiply the cached value
-// exactly as they multiplied the freshly computed one, so memoization is
-// bit-identical. cost_cache_hits()/misses() expose the counters for the
-// bench reporter.
+// cache (common/cost_cache.hpp) with one entry per descriptor that also
+// holds its attribution splits. Contention, cycle multipliers and repeat
+// counts multiply the cached value exactly as they multiplied the freshly
+// computed one, so memoization is bit-identical. cost_cache_hits()/misses()
+// expose the counters for the bench reporter.
 
 #include <cstdint>
 
@@ -48,9 +48,9 @@ public:
   // --- pricing ---------------------------------------------------------------
   /// One charge evaluated against a Cpu's configuration: its cycles per
   /// repeat and the flop and attribution figures charge() adds. Only a Cpu
-  /// on the same MachineConfig object may charge it. Contention applies at
-  /// charge time; the attribution refinement that tracing adds follows the
-  /// trace mode at pricing time.
+  /// on the same MachineConfig object may charge it. A Price is a pure
+  /// function of the descriptor and the configuration, whatever the trace
+  /// mode; contention applies at charge time.
   class Price {
   private:
     friend class Cpu;
@@ -156,9 +156,9 @@ public:
   void reset();
 
   // --- op-cost cache ----------------------------------------------------------
-  /// Cached-cost lookups that found (missed) an entry, summed over the
-  /// vector and scalar caches. reset() leaves both alone: the cache is an
-  /// evaluator detail, valid for the lifetime of the configuration.
+  /// Cached-cost lookups that found (missed) an entry, one per price, summed
+  /// over the vector and scalar caches. reset() leaves both alone: the cache
+  /// is an evaluator detail, valid for the lifetime of the configuration.
   std::uint64_t cost_cache_hits() const {
     return vec_cost_.hits() + scalar_cost_.hits();
   }
@@ -190,14 +190,12 @@ private:
   /// the Price.
   [[gnu::always_inline]] inline void apply(const Price& price, long repeats);
 
-  /// The attribution refinement of price(op) in every trace mode but off;
-  /// out of line so the off-mode path stays small.
-  [[gnu::noinline]] void refine(Price& price, const VectorOp& op);
-
-  /// Cycles for `op`, via the cache (pure in op given the fixed config).
-  double vec_cost(const VectorOp& op);
-  double scalar_cost(const ScalarOp& op);
-  double scalar_miss_cost(const ScalarOp& op);
+  /// An op's costs, via the cache (pure in op given the fixed config).
+  struct ScalarCost {
+    double cycles, miss;
+  };
+  VectorUnit::Costs vec_cost(const VectorOp& op);
+  ScalarCost scalar_cost(const ScalarOp& op);
 
   /// File `charged` (the full, contention-inflated amount) under `category`,
   /// carving the contention inflation (charged - base) into bank_conflict
@@ -211,9 +209,8 @@ private:
   MemoryModel mem_;
   VectorUnit vu_;
   ScalarUnit su_;
-  CostCache<VectorOp, VectorOpHash> vec_cost_;
-  CostCache<ScalarOp, ScalarOpHash> scalar_cost_;
-  CostCache<ScalarOp, ScalarOpHash> scalar_miss_cost_;
+  CostCache<VectorOp, VectorUnit::Costs, VectorOpHash> vec_cost_;
+  CostCache<ScalarOp, ScalarCost, ScalarOpHash> scalar_cost_;
   trace::Collector trace_;
   double trace_time_offset_ = 0;
   double cycles_ = 0;

@@ -107,16 +107,14 @@ double Node::parallel(int ncpu, FunctionRef<void(int, Cpu&)> body) {
   runtime_trace_.count(trace::Category::Idle,
                        idle_cycles / ncpu * cfg_.seconds_per_clock());
   runtime_trace_.count(trace::Category::Barrier, barrier);
-  if (trace::spans_enabled(trace::mode())) {
-    runtime_trace_.span(trace::Category::Barrier,
-                        elapsed_ + max_delta * cfg_.seconds_per_clock(),
-                        barrier, "barrier");
-    for (int rank = 0; rank < ncpu; ++rank) {
-      const double d = delta[static_cast<std::size_t>(rank)];
-      cpus_[static_cast<std::size_t>(rank)]->trace().span(
-          trace::Category::Idle, region_start_cycles + d, max_delta - d,
-          "idle");
-    }
+  runtime_trace_.span(trace::Category::Barrier,
+                      elapsed_ + max_delta * cfg_.seconds_per_clock(),
+                      barrier, "barrier");
+  for (int rank = 0; rank < ncpu; ++rank) {
+    const double d = delta[static_cast<std::size_t>(rank)];
+    cpus_[static_cast<std::size_t>(rank)]->trace().span(
+        trace::Category::Idle, region_start_cycles + d, max_delta - d,
+        "idle");
   }
 
   elapsed_ += region;

@@ -28,8 +28,7 @@ public:
   Cycles cycles(const ScalarOp& op) const;
 
   /// The data-cache miss-stall portion of `cycles` (a pure function of the
-  /// descriptor, so the trace layer can price the cache_miss attribution
-  /// split through the op-cost cache).
+  /// descriptor; Cpu caches it beside `cycles` as the cache_miss split).
   Cycles miss_cycles(const ScalarOp& op) const;
 
   /// The analytic miss rate used by `cycles` (exposed for tests, which

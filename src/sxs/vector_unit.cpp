@@ -7,9 +7,9 @@
 
 namespace ncar::sxs {
 
-Cycles VectorUnit::cycles(const VectorOp& op) const {
+VectorUnit::Costs VectorUnit::costs(const VectorOp& op) const {
   NCAR_REQUIRE(op.n >= 0, "vector op with negative length");
-  if (op.n == 0) return Cycles(0.0);
+  if (op.n == 0) return {};
   NCAR_REQUIRE(op.pipe_groups >= 1 && op.pipe_groups <= 3,
                "pipe_groups must be 1..3");
 
@@ -33,33 +33,55 @@ Cycles VectorUnit::cycles(const VectorOp& op) const {
   }
 
   // Memory bound: contiguous/strided streams plus list-vector traffic.
-  Cycles mem_cycles =
-      mem_.stream_cycles(static_cast<long>(n * op.load_words),
-                         op.load_stride) +
-      mem_.stream_cycles(static_cast<long>(n * op.store_words),
-                         op.store_stride);
-  mem_cycles += mem_.gather_cycles(static_cast<long>(n * op.gather_words));
-  mem_cycles += mem_.scatter_cycles(static_cast<long>(n * op.scatter_words));
+  const auto streams = [&](long load_stride, long store_stride) {
+    return mem_.stream_cycles(static_cast<long>(n * op.load_words),
+                              load_stride) +
+           mem_.stream_cycles(static_cast<long>(n * op.store_words),
+                              store_stride);
+  };
+  const Cycles strided = streams(op.load_stride, op.store_stride);
+  const Cycles gather =
+      mem_.gather_cycles(static_cast<long>(n * op.gather_words));
+  const Cycles scatter =
+      mem_.scatter_cycles(static_cast<long>(n * op.scatter_words));
+  const Cycles mem_cycles = strided + gather + scatter;
 
   // Instruction issue: "most vector instructions issue in two clocks".
-  int instrs = op.instructions;
-  if (instrs == 0) {
-    const double streams = op.load_words + op.store_words + op.gather_words +
-                           op.scatter_words;
-    instrs = static_cast<int>(std::ceil(streams)) +
-             static_cast<int>(std::ceil(op.flops_per_elem / 2.0)) +
-             static_cast<int>(std::ceil(op.div_per_elem));
-    instrs = std::max(instrs, 1);
-  }
-  const double issue_cycles =
-      static_cast<double>(chunks) * instrs * cfg_.vector_issue_clocks;
+  const auto issue_of = [&](double gather_words, double scatter_words) {
+    int instrs = op.instructions;
+    if (instrs == 0) {
+      const double words =
+          op.load_words + op.store_words + gather_words + scatter_words;
+      instrs = static_cast<int>(std::ceil(words)) +
+               static_cast<int>(std::ceil(op.flops_per_elem / 2.0)) +
+               static_cast<int>(std::ceil(op.div_per_elem));
+      instrs = std::max(instrs, 1);
+    }
+    return Cycles(static_cast<double>(chunks) * instrs *
+                  cfg_.vector_issue_clocks);
+  };
+  const Cycles issue_cycles = issue_of(op.gather_words, op.scatter_words);
 
   // The scalar unit issues ahead of the pipes, so instruction issue overlaps
   // execution of the previous strip; a loop is issue-bound only when issue is
   // the slowest stage.
-  return Cycles(cfg_.vector_startup_clocks) +
-         std::max({Cycles(arith_cycles), Cycles(div_cycles), mem_cycles,
-                   Cycles(issue_cycles)});
+  const Cycles compute = std::max(Cycles(arith_cycles), Cycles(div_cycles));
+  const auto total = [&](Cycles mem, Cycles issue) {
+    return Cycles(cfg_.vector_startup_clocks) + std::max({compute, mem, issue});
+  };
+  Costs c;
+  c.cycles = c.unit_stride = c.contiguous = total(mem_cycles, issue_cycles);
+  // A variant shrinks the memory (and issue) term: cheaper only if it binds.
+  if ((op.load_stride != 1 || op.store_stride != 1) &&
+      mem_cycles > std::max(compute, issue_cycles)) {
+    c.unit_stride = std::min(
+        c.cycles, total(streams(1, 1) + gather + scatter, issue_cycles));
+  }
+  if ((op.gather_words > 0 || op.scatter_words > 0) &&
+      std::max(mem_cycles, issue_cycles) > compute) {
+    c.contiguous = std::min(c.cycles, total(strided, issue_of(0.0, 0.0)));
+  }
+  return c;
 }
 
 }  // namespace ncar::sxs

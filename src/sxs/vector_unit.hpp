@@ -27,7 +27,14 @@ public:
   /// groups, the divide pipes, and the memory port streams. Arithmetic and
   /// memory overlap (loads are chained into the pipes), so the bound is a
   /// max, not a sum.
-  Cycles cycles(const VectorOp& op) const;
+  ///
+  /// `unit_stride` and `contiguous` are the lower of `cycles` and the cycles
+  /// of `op` at unit strides or without gather/scatter words: attribution
+  /// prices against these variants, evaluated only where they can be cheaper.
+  struct Costs {
+    Cycles cycles, unit_stride, contiguous;
+  };
+  Costs costs(const VectorOp& op) const;
 
   /// Steady-state flops per clock for a loop keeping `pipe_groups` busy.
   double flops_per_clock(int pipe_groups) const {

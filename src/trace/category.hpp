@@ -79,8 +79,8 @@ constexpr bool is_charged_category(Category c) {
 // --- tracing mode ----------------------------------------------------------
 
 enum class Mode : std::uint8_t {
-  Off,      ///< aggregate counters only, nothing exported
-  Summary,  ///< + refined splits and attribution tables in bench JSON
+  Off,      ///< per-category counters (kept in every mode), nothing exported
+  Summary,  ///< + attribution tables in bench JSON
   Full,     ///< Stream, then the .sxt converted to Chrome trace JSON
   Stream,   ///< + spans streamed to a binary .sxt sink (trace/stream/)
 };

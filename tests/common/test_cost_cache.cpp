@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 
 #include "common/error.hpp"
 
@@ -24,12 +25,27 @@ struct KeyHash {
   }
 };
 
-using Cache = ncar::CostCache<Key, KeyHash>;
+using Cache = ncar::CostCache<Key, double, KeyHash>;
 
 double cost_of(const Key& k) {
   // Deliberately irrational so bit-identity of replayed values means
   // something: any recomputation must reproduce exactly this double.
   return std::sqrt(2.0 + k.a) * 1.37 + k.b / 7.0;
+}
+
+// A struct value, shaped like sxs::Cpu's entries (cycles plus splits).
+struct Costs {
+  double cycles, base, split;
+};
+using StructCache = ncar::CostCache<Key, Costs, KeyHash>;
+
+Costs costs_of(const Key& k) {
+  const double c = cost_of(k);
+  return {c, c / 3.0, -0.0};  // -0.0: bit-for-bit, not just ==
+}
+
+bool same_bits(const Costs& a, const Costs& b) {
+  return std::memcmp(&a, &b, sizeof(Costs)) == 0;
 }
 
 TEST(CostCache, FirstGetComputesLaterGetsReplay) {
@@ -70,6 +86,17 @@ TEST(CostCache, GrowthPreservesEveryEntry) {
     EXPECT_EQ(v, cost_of({i, -i}));
   }
   EXPECT_EQ(cache.hits(), 1000u);
+
+  // A struct value survives every doubling bit for bit.
+  StructCache structs(16);
+  for (int i = 0; i < 1000; ++i) {
+    structs.get({i, -i}, [&] { return costs_of({i, -i}); });
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const Costs v = structs.get({i, -i}, [] { return Costs{-1, -1, -1}; });
+    EXPECT_TRUE(same_bits(v, costs_of({i, -i}))) << i;
+  }
+  EXPECT_EQ(structs.hits(), 1000u);
 }
 
 TEST(CostCache, SaturatedCacheStillReturnsCorrectValues) {
@@ -95,6 +122,19 @@ TEST(CostCache, SaturatedCacheStillReturnsCorrectValues) {
   EXPECT_GT(replays, 0u);
   EXPECT_EQ(cache.hits() + cache.misses(),
             static_cast<std::uint64_t>(2 * n));
+
+  // The same sequence through a struct-valued cache: a survivor of the
+  // evictions replays its struct bit for bit, a victim recomputes it.
+  StructCache structs;
+  for (int i = 0; i < n; ++i) {
+    structs.get({i, i / 3}, [&] { return costs_of({i, i / 3}); });
+  }
+  for (int i = 0; i < n; ++i) {
+    const Key k{i, i / 3};
+    const Costs v = structs.get(k, [&] { return costs_of(k); });
+    EXPECT_TRUE(same_bits(v, costs_of(k))) << i;
+  }
+  EXPECT_EQ(structs.hits(), cache.hits());  // eviction ignores the value
 }
 
 TEST(CostCache, ClearDropsEntriesAndCounters) {

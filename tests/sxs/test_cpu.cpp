@@ -162,7 +162,7 @@ TEST_F(CpuTest, CachedChargesAreBitIdenticalToFirstSight) {
 
 TEST_F(CpuTest, PricedChargesMatchDirectChargesBitForBit) {
   // vec/scalar/intrinsic are charge(price(...)): a Price held and charged
-  // later, under contention and in summary mode (which refines the
+  // later, under contention and in summary mode (which exports the
   // attribution), adds exactly what the direct call adds.
   const ModeGuard guard(trace::Mode::Summary);
   VectorOp strided;
@@ -286,30 +286,84 @@ TEST_F(CpuTest, GatherScatterCarveComesOutOfThePipeCategory) {
   op.load_words = 1;
   op.scatter_words = 1;
 
-  Cpu refined{cfg};
+  Cpu summary{cfg};
   {
     ModeGuard g(trace::Mode::Summary);
-    refined.vec(op);
+    summary.vec(op);
   }
-  Cpu coarse{cfg};
+  Cpu off{cfg};
   {
     ModeGuard g(trace::Mode::Off);
-    coarse.vec(op);
+    off.vec(op);
   }
 
-  // Tracing mode never perturbs the charge itself.
-  EXPECT_EQ(refined.cycles(), coarse.cycles());
+  // Every mode books the same split, category for category.
+  EXPECT_EQ(summary.cycles(), off.cycles());
+  for (int c = 0; c < trace::kCategoryCount; ++c) {
+    const auto cat = static_cast<trace::Category>(c);
+    EXPECT_EQ(off.trace().category_ticks(cat),
+              summary.trace().category_ticks(cat))
+        << trace::to_string(cat);
+  }
 
-  // Off mode books everything under the pipe category; Summary mode carves
-  // the gather/scatter premium out of it.
-  EXPECT_DOUBLE_EQ(
-      coarse.trace().category_ticks(trace::Category::GatherScatter), 0.0);
-  const double gs =
-      refined.trace().category_ticks(trace::Category::GatherScatter);
+  // The gather/scatter premium is carved out of the pipe category.
+  const double gs = off.trace().category_ticks(trace::Category::GatherScatter);
   EXPECT_GT(gs, 0.0);
-  EXPECT_DOUBLE_EQ(
-      refined.trace().category_ticks(trace::Category::VectorMul) + gs,
-      coarse.trace().category_ticks(trace::Category::VectorMul));
+  EXPECT_DOUBLE_EQ(off.trace().category_ticks(trace::Category::VectorMul) + gs,
+                   off.cycles());
+}
+
+TEST_F(CpuTest, PriceIsIndependentOfTraceMode) {
+  // A Price made in off mode and charged in summary mode files every
+  // category exactly as a summary-mode charge does.
+  VectorOp strided;
+  strided.n = 777;
+  strided.flops_per_elem = 3;
+  strided.load_words = 2;
+  strided.gather_words = 1;
+  strided.load_stride = 4;
+  ScalarOp loop;
+  loop.iters = 500;
+  loop.flops_per_iter = 2;
+  loop.mem_words_per_iter = 3;
+  loop.working_set_bytes = 1 << 20;
+
+  Cpu priced{cfg};
+  const ModeGuard guard(trace::Mode::Off);
+  const Cpu::Price v = priced.price(strided);
+  const Cpu::Price s = priced.price(loop);
+  trace::set_mode(trace::Mode::Summary);  // the guard restores the mode
+
+  Cpu direct{cfg};
+  direct.vec(strided, 5);
+  priced.charge(v, 5);
+  direct.scalar(loop);
+  priced.charge(s);
+  EXPECT_EQ(priced.cycles(), direct.cycles());
+  for (int c = 0; c < trace::kCategoryCount; ++c) {
+    const auto cat = static_cast<trace::Category>(c);
+    EXPECT_EQ(priced.trace().category_ticks(cat),
+              direct.trace().category_ticks(cat))
+        << trace::to_string(cat);
+  }
+  // Each split is present, so the comparison above covers all three.
+  EXPECT_GT(direct.trace().category_ticks(trace::Category::BankConflict), 0);
+  EXPECT_GT(direct.trace().category_ticks(trace::Category::GatherScatter), 0);
+  EXPECT_GT(direct.trace().category_ticks(trace::Category::CacheMiss), 0);
+}
+
+TEST_F(CpuTest, StridedPriceIsOneLookupInSummaryMode) {
+  // The attribution splits share the op's cache entry: no twin lookups.
+  const ModeGuard guard(trace::Mode::Summary);
+  VectorOp op;
+  op.n = 1000;
+  op.flops_per_elem = 1;
+  op.load_words = 2;
+  op.load_stride = 8;
+  cpu.price(op);
+  cpu.price(op);
+  EXPECT_EQ(cpu.cost_cache_misses(), 1u);
+  EXPECT_EQ(cpu.cost_cache_hits(), 1u);
 }
 
 TEST_F(CpuTest, ExplicitCategoryOverloadFilesUnderIt) {

@@ -40,7 +40,7 @@ TEST_P(ConfigParam, VectorRateNeverExceedsPeak) {
     op.pipe_groups = 2;
     op.instructions = 1;
     const double flops_per_s =
-        2.0 * n / (vu.cycles(op).value() * cfg.seconds_per_clock());
+        2.0 * n / (vu.costs(op).cycles.value() * cfg.seconds_per_clock());
     EXPECT_LE(flops_per_s, cfg.peak_flops_per_cpu() * 1.0001) << "n=" << n;
   }
 }
@@ -54,7 +54,7 @@ TEST_P(ConfigParam, MemoryBoundRateNeverExceedsPort) {
   op.store_words = 1;
   op.instructions = 2;
   const double bytes_per_s =
-      16.0 * op.n / (vu.cycles(op).value() * cfg.seconds_per_clock());
+      16.0 * op.n / (vu.costs(op).cycles.value() * cfg.seconds_per_clock());
   EXPECT_LE(bytes_per_s, cfg.port_bandwidth().value() * 1.0001);
 }
 
@@ -77,7 +77,7 @@ TEST_P(ConfigParam, CyclesMonotoneInLength) {
     op.flops_per_elem = 3;
     op.load_words = 2;
     op.store_words = 1;
-    const double c = vu.cycles(op).value();
+    const double c = vu.costs(op).cycles.value();
     EXPECT_GE(c, prev) << "n=" << n;
     if (n == 1) first = c;
     last = c;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "sxs/machine_config.hpp"
 #include "sxs/memory_model.hpp"
@@ -29,7 +31,7 @@ TEST_F(VectorUnitTest, LongComputeBoundLoopApproachesPeak) {
   op.store_words = 0;
   op.pipe_groups = 2;
   op.instructions = 1;
-  const double cycles = vu.cycles(op).value();
+  const double cycles = vu.costs(op).cycles.value();
   const double flops_per_cycle = 2.0 * op.n / cycles;
   // Within 5% of the 16 flops/clock peak once startup is amortised.
   EXPECT_GT(flops_per_cycle, 0.95 * 16.0);
@@ -42,7 +44,7 @@ TEST_F(VectorUnitTest, ShortVectorsPayStartup) {
   op.flops_per_elem = 2;
   op.pipe_groups = 2;
   op.instructions = 1;
-  const double cycles = vu.cycles(op).value();
+  const double cycles = vu.costs(op).cycles.value();
   // Startup dominates: far more cycles than the n/16 steady-state work.
   EXPECT_GT(cycles, cfg.vector_startup_clocks);
   EXPECT_LT(2.0 * op.n / cycles, 4.0);
@@ -56,7 +58,7 @@ TEST_F(VectorUnitTest, EfficiencyGrowsMonotonicallyWithLength) {
     op.flops_per_elem = 2;
     op.pipe_groups = 2;
     op.instructions = 1;
-    const double rate = 2.0 * n / vu.cycles(op).value();
+    const double rate = 2.0 * n / vu.costs(op).cycles.value();
     EXPECT_GT(rate, prev) << "n=" << n;
     prev = rate;
   }
@@ -69,7 +71,7 @@ TEST_F(VectorUnitTest, MemoryBoundLoopLimitedByPort) {
   op.load_words = 1;
   op.store_words = 1;
   op.instructions = 2;
-  const double cycles = vu.cycles(op).value();
+  const double cycles = vu.costs(op).cycles.value();
   const double words_per_cycle = 2.0 * op.n / cycles;
   EXPECT_NEAR(words_per_cycle, 16.0, 1.0);  // full port width
 }
@@ -85,8 +87,8 @@ TEST_F(VectorUnitTest, ComputeAndMemoryOverlapAsMax) {
   with_flops.flops_per_elem = 2;  // cheap relative to 3 words of traffic
   with_flops.instructions = 4;
 
-  const double t_mem = vu.cycles(mem_only).value();
-  const double t_both = vu.cycles(with_flops).value();
+  const double t_mem = vu.costs(mem_only).cycles.value();
+  const double t_both = vu.costs(with_flops).cycles.value();
   // Chained arithmetic hides behind the memory streams (within issue cost).
   EXPECT_NEAR(t_both / t_mem, 1.0, 0.05);
 }
@@ -104,8 +106,8 @@ TEST_F(VectorUnitTest, DividePipesAreSlower) {
   div.pipe_groups = 1;
   div.instructions = 1;
 
-  EXPECT_GT(vu.cycles(div), vu.cycles(add));
-  EXPECT_NEAR(vu.cycles(div) / vu.cycles(add),
+  EXPECT_GT(vu.costs(div).cycles, vu.costs(add).cycles);
+  EXPECT_NEAR(vu.costs(div).cycles / vu.costs(add).cycles,
               cfg.divide_cycles_per_result,
               0.2);
 }
@@ -119,7 +121,7 @@ TEST_F(VectorUnitTest, ConcurrentDivideCanExceedNominalPeak) {
   op.div_per_elem = 0.2;   // divide group under its throughput bound
   op.pipe_groups = 2;
   op.instructions = 1;
-  const double cycles = vu.cycles(op).value();
+  const double cycles = vu.costs(op).cycles.value();
   const double results_per_cycle = (2.0 + 0.2) * op.n / cycles;
   EXPECT_GT(results_per_cycle, 16.0);
 }
@@ -135,20 +137,66 @@ TEST_F(VectorUnitTest, GatherBoundLoopSlowerThanUnitStride) {
   gathered.load_words = 0;
   gathered.gather_words = 1;
 
-  EXPECT_GT(vu.cycles(gathered), vu.cycles(unit));
+  EXPECT_GT(vu.costs(gathered).cycles, vu.costs(unit).cycles);
+}
+
+TEST_F(VectorUnitTest, VariantsAreTheLowerOfTheLoopAndTheVariantOp) {
+  // costs() skips a variant that cannot be cheaper; what it reports must
+  // still be min(cycles, cycles of the variant op), bit for bit.
+  int cheaper_unit = 0;
+  int cheaper_contiguous = 0;
+  for (const long stride : {1L, 2L, 3L, 16L, 512L}) {
+    for (const double gather : {0.0, 0.5, 2.0}) {
+      for (const double flops : {0.0, 2.0, 40.0}) {
+        for (const int instructions : {0, 9}) {
+          VectorOp op;
+          op.n = 3000;
+          op.flops_per_elem = flops;
+          op.div_per_elem = flops > 10 ? 1 : 0;
+          op.load_words = 2;
+          op.store_words = 1;
+          op.load_stride = stride;
+          op.store_stride = stride == 1 ? 1 : 7;
+          op.gather_words = gather;
+          op.scatter_words = gather / 2;
+          op.instructions = instructions;
+          VectorOp unit = op;
+          unit.load_stride = 1;
+          unit.store_stride = 1;
+          VectorOp contiguous = op;
+          contiguous.gather_words = 0;
+          contiguous.scatter_words = 0;
+
+          const VectorUnit::Costs c = vu.costs(op);
+          EXPECT_EQ(c.unit_stride,
+                    std::min(c.cycles, vu.costs(unit).cycles));
+          EXPECT_EQ(c.contiguous,
+                    std::min(c.cycles, vu.costs(contiguous).cycles));
+          if (c.unit_stride < c.cycles) ++cheaper_unit;
+          if (c.contiguous < c.cycles) ++cheaper_contiguous;
+        }
+      }
+    }
+  }
+  // Both variants are strictly cheaper somewhere, so both paths ran.
+  EXPECT_GT(cheaper_unit, 0);
+  EXPECT_GT(cheaper_contiguous, 0);
 }
 
 TEST_F(VectorUnitTest, ZeroLengthIsFree) {
   VectorOp op;
   op.n = 0;
   op.flops_per_elem = 10;
-  EXPECT_DOUBLE_EQ(vu.cycles(op).value(), 0.0);
+  const VectorUnit::Costs c = vu.costs(op);
+  EXPECT_DOUBLE_EQ(c.cycles.value(), 0.0);
+  EXPECT_DOUBLE_EQ(c.unit_stride.value(), 0.0);
+  EXPECT_DOUBLE_EQ(c.contiguous.value(), 0.0);
 }
 
 TEST_F(VectorUnitTest, NegativeLengthThrows) {
   VectorOp op;
   op.n = -5;
-  EXPECT_THROW(vu.cycles(op), ncar::precondition_error);
+  EXPECT_THROW(vu.costs(op), ncar::precondition_error);
 }
 
 TEST_F(VectorUnitTest, InvalidPipeGroupsThrow) {
@@ -156,9 +204,9 @@ TEST_F(VectorUnitTest, InvalidPipeGroupsThrow) {
   op.n = 10;
   op.flops_per_elem = 1;
   op.pipe_groups = 0;
-  EXPECT_THROW(vu.cycles(op), ncar::precondition_error);
+  EXPECT_THROW(vu.costs(op), ncar::precondition_error);
   op.pipe_groups = 4;
-  EXPECT_THROW(vu.cycles(op), ncar::precondition_error);
+  EXPECT_THROW(vu.costs(op), ncar::precondition_error);
 }
 
 class VectorLengthParam : public ::testing::TestWithParam<int> {};
@@ -175,7 +223,7 @@ TEST_P(VectorLengthParam, ShorterRegistersLowerShortLoopEfficiency) {
   op.flops_per_elem = 2;
   op.pipe_groups = 2;
   op.instructions = 4;
-  const double rate = 2.0 * op.n / vu.cycles(op).value();
+  const double rate = 2.0 * op.n / vu.costs(op).cycles.value();
   EXPECT_GT(rate, 4.0);
   EXPECT_LE(rate, 16.0);
 }
