@@ -1,13 +1,13 @@
 // bench_gate — CI gate over the bench result files.
 //
 // Diffs bench/results/*.json (a fresh run) against bench/baselines/*.json
-// (committed) with a symmetric relative tolerance, re-checks every
+// (committed) with a 2% symmetric relative tolerance, re-checks every
 // recorded paper expectation, and writes one BENCH_SUMMARY.json roll-up.
 // Exit 0 = clean; 1 = regression / missing metric / failed expectation;
 // 2 = unusable configuration.
 //
 //   bench_gate --results build/bench/results --baselines bench/baselines
-//              --summary build/bench/BENCH_SUMMARY.json [--tol 0.02]
+//              --summary build/bench/BENCH_SUMMARY.json
 //
 // `--update-baselines` regenerates the committed baselines from a results
 // directory (used after an intentional model change; see README.md).
@@ -31,7 +31,6 @@ namespace {
                "bench/baselines)\n"
                "  --summary <path>    write roll-up JSON (default "
                "BENCH_SUMMARY.json next to --results)\n"
-               "  --tol <rel>         relative tolerance (default 0.02)\n"
                "  --update-baselines  rewrite baselines from results\n"
                "  --help              this message\n");
   std::exit(exit_code);
@@ -59,8 +58,7 @@ int main(int argc, char** argv) {
     else if (arg == "--summary") {
       opts.summary_path = value();
       summary_set = true;
-    } else if (arg == "--tol") opts.rel_tol = std::atof(value().c_str());
-    else if (arg == "--update-baselines") opts.update_baselines = true;
+    } else if (arg == "--update-baselines") opts.update_baselines = true;
     else if (arg == "--help" || arg == "-h") usage(0);
     else {
       std::fprintf(stderr, "bench_gate: unknown option %s\n", arg.c_str());

@@ -1,9 +1,10 @@
-# Rejection check for a malformed runtime knob or command-line option.
+# Rejection check for a malformed runtime knob or an unknown command-line
+# option.
 #
 # Each SX4NCAR_* knob a bench main reads has one strict parser that throws
 # ncar::config_error on a value it does not know; BenchReporter turns that
-# into exit 2 with a message naming the knob, and does the same for a
-# malformed option value. This runs BENCH_BIN with KNOB=VALUE in its
+# into exit 2 with a message naming the knob, and does the same for an
+# option it does not take. This runs BENCH_BIN with KNOB=VALUE in its
 # environment, or with the arguments `KNOB VALUE` when KNOB starts with
 # "--", and passes only when the run exits 2 and its output names the
 # knob; any other exit, a crash included, fails.

@@ -8,9 +8,9 @@
 // the host thread pool, pricing each distinct charge once per config,
 // classifies each point memory-bound vs compute-bound via perturbation
 // twins, and flags the flip boundaries. The full per-point report is written as
-// deterministic JSON next to the result file — byte-identical across
-// host-thread policies and repeat runs
-// (bench/cmake/sweep_determinism_check.cmake pins this).
+// deterministic JSON next to the result file (harness/sweep_report.hpp) —
+// byte-identical across host-thread policies and repeat runs (ctest
+// design_sweep_determinism pins this).
 //
 // Deliberately NOT in SX4NCAR_BENCH_MAINS: like prodload_year, it is a
 // capacity/exploration bench pinned by its own smoke + determinism tests
@@ -32,8 +32,6 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -42,6 +40,7 @@
 #include "common/table.hpp"
 #include "harness/knobs.hpp"
 #include "harness/reporter.hpp"
+#include "harness/sweep_report.hpp"
 #include "machines/description.hpp"
 #include "machines/sweep.hpp"
 #include "sxs/execution_policy.hpp"
@@ -178,14 +177,11 @@ int main(int argc, char** argv) {
 
   const std::string& report_path = knobs.report;
   bool report_written = false;
-  {
-    const std::filesystem::path p(report_path);
-    if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
-    std::ofstream out(report_path);
-    if (out) {
-      out << report.to_json();
-      report_written = static_cast<bool>(out);
-    }
+  try {
+    bench::sweep_report_json(report).save(report_path);
+    report_written = true;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "design_sweep: %s\n", e.what());
   }
   std::printf("\nfull per-point report: %s\n", report_path.c_str());
 

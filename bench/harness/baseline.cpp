@@ -1,8 +1,6 @@
 #include "harness/baseline.hpp"
 
 #include <cmath>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace ncar::bench {
@@ -48,22 +46,14 @@ Baseline Baseline::from_json(const Json& j) {
 }
 
 Baseline Baseline::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("baseline: cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
   try {
-    return from_json(Json::parse(ss.str()));
+    return from_json(Json::load(path));
   } catch (const std::exception& e) {
     throw std::runtime_error("baseline: " + path + ": " + e.what());
   }
 }
 
-void Baseline::save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("baseline: cannot write " + path);
-  out << to_json().dump() << '\n';
-}
+void Baseline::save(const std::string& path) const { to_json().save(path); }
 
 CompareResult compare_metrics(const Baseline& baseline,
                               const std::vector<Metric>& actual,

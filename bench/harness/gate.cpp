@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "harness/baseline.hpp"
 #include "harness/expectation.hpp"
-#include "harness/reporter.hpp"
 
 namespace fs = std::filesystem;
 
@@ -16,33 +13,29 @@ namespace ncar::bench {
 
 namespace {
 
-/// Sorted *.json stems in `dir` so the gate's order (and the summary) is
-/// independent of directory enumeration order.
+/// Sorted <bench>.json stems in `dir` so the gate's order (and the
+/// summary) is independent of directory enumeration order. A stem with a
+/// dot is a bench's artifact (BenchReporter::aux_path: <bench>.trace.json,
+/// design_sweep.report.json), not a result.
 std::vector<std::string> json_stems(const fs::path& dir) {
   std::vector<std::string> stems;
   for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".json") {
-      stems.push_back(entry.path().stem().string());
+    const std::string stem = entry.path().stem().string();
+    if (entry.is_regular_file() && entry.path().extension() == ".json" &&
+        stem.find('.') == std::string::npos) {
+      stems.push_back(stem);
     }
   }
   std::sort(stems.begin(), stems.end());
   return stems;
 }
 
-Json load_json_file(const fs::path& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path.string());
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return Json::parse(ss.str());
-}
-
 }  // namespace
 
-Json GateReport::summary(double rel_tol) const {
+Json GateReport::summary() const {
   Json j = Json::object();
   j.set("schema", "sx4ncar-bench-summary-v1");
-  j.set("rel_tol", rel_tol);
+  j.set("rel_tol", kGateRelTol);
   j.set("ok", ok);
   int regressed = 0, failed_exp = 0;
   Json benches = Json::array();
@@ -78,22 +71,30 @@ int run_gate(const GateOptions& opts, std::ostream& log,
   }
 
   if (opts.update_baselines) {
-    fs::create_directories(opts.baselines_dir);
-    int written = 0;
+    // Read every result first: one that does not read fails the update
+    // before any committed baseline is touched.
+    std::vector<std::pair<std::string, Baseline>> bases;
     for (const auto& stem : json_stems(opts.results_dir)) {
+      const fs::path path = fs::path(opts.results_dir) / (stem + ".json");
       try {
-        const Json result =
-            load_json_file(fs::path(opts.results_dir) / (stem + ".json"));
-        const Baseline base = result_to_baseline(result);
+        bases.emplace_back(stem, Baseline::from_json(Json::load(path.string())));
+      } catch (const std::exception& e) {
+        log << "bench_gate: cannot baseline " << path.string() << ": "
+            << e.what() << '\n';
+        return 1;
+      }
+    }
+    try {
+      for (const auto& [stem, base] : bases) {
         base.save((fs::path(opts.baselines_dir) / (stem + ".json")).string());
         log << "bench_gate: baselined " << base.bench << " ("
             << base.metrics.size() << " metrics)\n";
-        ++written;
-      } catch (const std::exception& e) {
-        log << "bench_gate: skipping " << stem << ": " << e.what() << '\n';
       }
+    } catch (const std::exception& e) {
+      log << "bench_gate: ERROR: " << e.what() << '\n';
+      return 2;
     }
-    log << "bench_gate: wrote " << written << " baselines to "
+    log << "bench_gate: wrote " << bases.size() << " baselines to "
         << opts.baselines_dir << '\n';
     return 0;
   }
@@ -133,7 +134,7 @@ int run_gate(const GateOptions& opts, std::ostream& log,
     Json result;
     Baseline run;
     try {
-      result = load_json_file(result_path);
+      result = Json::load(result_path.string());
       run = Baseline::from_json(result);
     } catch (const std::exception& e) {
       entry.status = "invalid-result";
@@ -152,7 +153,7 @@ int run_gate(const GateOptions& opts, std::ostream& log,
       continue;
     }
 
-    const CompareResult cmp = compare_metrics(base, run.metrics, opts.rel_tol);
+    const CompareResult cmp = compare_metrics(base, run.metrics, kGateRelTol);
     entry.metrics_checked = static_cast<int>(cmp.deltas.size());
     entry.regressed = cmp.regressed;
     entry.missing_metrics = cmp.missing;
@@ -194,8 +195,8 @@ int run_gate(const GateOptions& opts, std::ostream& log,
     entry.bench = stem;
     entry.status = "no-baseline";
     try {
-      const Json result =
-          load_json_file(fs::path(opts.results_dir) / (stem + ".json"));
+      const Json result = Json::load(
+          (fs::path(opts.results_dir) / (stem + ".json")).string());
       if (const Json* failed = result.find("expectations_failed")) {
         entry.expectations_failed = static_cast<int>(failed->as_number());
         if (entry.expectations_failed > 0) entry.status = "expectation-failed";
@@ -226,11 +227,7 @@ int run_gate(const GateOptions& opts, std::ostream& log,
   int rc = report.ok ? 0 : 1;
   if (!opts.summary_path.empty()) {
     try {
-      const fs::path p(opts.summary_path);
-      if (p.has_parent_path()) fs::create_directories(p.parent_path());
-      std::ofstream out(opts.summary_path);
-      if (!out) throw std::runtime_error("cannot write " + opts.summary_path);
-      out << report.summary(opts.rel_tol).dump() << '\n';
+      report.summary().save(opts.summary_path);
       log << "bench_gate: wrote " << opts.summary_path << '\n';
     } catch (const std::exception& e) {
       log << "bench_gate: ERROR: " << e.what() << '\n';

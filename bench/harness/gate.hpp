@@ -13,11 +13,15 @@
 
 namespace ncar::bench {
 
+/// Symmetric relative tolerance of every baseline comparison. The model is
+/// deterministic, so it only absorbs cross-platform libm and codegen
+/// differences; the summary records it as `rel_tol`.
+inline constexpr double kGateRelTol = 0.02;
+
 struct GateOptions {
   std::string results_dir;    ///< directory of bench result JSONs
   std::string baselines_dir;  ///< directory of committed baseline JSONs
   std::string summary_path;   ///< roll-up output; empty = don't write
-  double rel_tol = 0.02;      ///< symmetric relative tolerance
   bool update_baselines = false;  ///< rewrite baselines from results
 };
 
@@ -37,17 +41,19 @@ struct GateEntry {
 struct GateReport {
   std::vector<GateEntry> entries;
   bool ok = true;
-  Json summary(double rel_tol) const;
+  Json summary() const;
 };
 
 /// Run the gate. Returns the process exit code: 0 = all baselines matched
 /// and all recorded expectations passed; 1 = regression, missing metric,
 /// missing result, mode mismatch, or failed expectation; 2 = unusable
-/// configuration (missing directories, unwritable summary).
+/// configuration (missing directories, unwritable summary or baseline).
 ///
 /// With `update_baselines` set, instead rewrites
 /// `<baselines_dir>/<bench>.json` from every result in `results_dir`
-/// (host-dependent fields dropped) and returns 0.
+/// (host-dependent fields dropped) and returns 0. A result that does not
+/// read as one fails the update (exit 1, naming the file) before any
+/// baseline is written.
 int run_gate(const GateOptions& opts, std::ostream& log,
              GateReport* out_report = nullptr);
 

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 namespace ncar::bench {
 
@@ -368,5 +371,21 @@ private:
 }  // namespace
 
 Json Json::parse(std::string_view text) { return Parser(text).parse_document(); }
+
+Json Json::load(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return parse(ss.str());
+}
+
+void Json::save(const std::string& path) const {
+  const std::filesystem::path p(path);
+  if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
+  std::ofstream out(path);
+  out << dump() << '\n';
+  if (!out) throw std::runtime_error("cannot write " + path);
+}
 
 }  // namespace ncar::bench

@@ -92,6 +92,14 @@ public:
   /// Parse a complete document; trailing garbage is an error.
   static Json parse(std::string_view text);
 
+  /// Parse the file at `path`; throws std::runtime_error when it cannot be
+  /// opened, JsonParseError when it does not parse.
+  static Json load(const std::string& path);
+  /// Write dump() plus a newline to `path`, creating its parent
+  /// directories; throws std::runtime_error when the write fails. Every
+  /// JSON file the bench harness emits goes through here.
+  void save(const std::string& path) const;
+
   /// Shortest round-trip rendering of a double (integral values render
   /// without a decimal point). Exposed for tests.
   static std::string number_to_string(double v);

@@ -10,8 +10,7 @@
 
 namespace ncar::bench {
 
-const std::array<std::string_view, 16> kKnownKnobs = {
-    "SX4NCAR_BASELINE_DIR",
+const std::array<std::string_view, 15> kKnownKnobs = {
     "SX4NCAR_BENCH_FULL",
     "SX4NCAR_BENCH_RESULTS_DIR",
     "SX4NCAR_HOST_THREADS",

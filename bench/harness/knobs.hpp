@@ -18,7 +18,7 @@ namespace ncar::bench {
 
 /// Every SX4NCAR_* environment variable the tree reads: the library knobs
 /// and the bench mains' own, sorted.
-extern const std::array<std::string_view, 16> kKnownKnobs;
+extern const std::array<std::string_view, 15> kKnownKnobs;
 
 /// Throws config_error naming the first SX4NCAR_* variable in `env` (a
 /// null-terminated array of "NAME=value" strings, like environ) that is

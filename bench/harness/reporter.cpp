@@ -1,12 +1,9 @@
 #include "harness/reporter.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <ostream>
 
@@ -26,32 +23,11 @@ namespace {
   std::fprintf(out,
                "usage: %s [options]\n"
                "  --json <path>        write result JSON to <path>\n"
-               "  --results-dir <dir>  result directory (default bench/results)\n"
                "  --list               print metrics/expectations, no JSON\n"
-               "  --ci-check           diff metrics against committed baseline\n"
-               "  --baseline-dir <dir> baselines for --ci-check (default "
-               "bench/baselines)\n"
-               "  --tol <rel>          baseline tolerance (default 0.02)\n"
                "  --deterministic      omit host-dependent JSON fields\n"
                "  --help               this message\n",
                name.c_str());
   std::exit(exit_code);
-}
-
-/// --tol's value: all of `text` as a finite decimal number >= 0, else a
-/// usage error (exit 2).
-double parse_tol(const std::string& name, const std::string& text) {
-  double tol = -1.0;
-  const char* const last = text.data() + text.size();
-  const auto [end, ec] = std::from_chars(text.data(), last, tol);
-  if (ec != std::errc() || end != last || !std::isfinite(tol) || tol < 0.0) {
-    std::fprintf(stderr,
-                 "%s: --tol %s is invalid: expected a finite decimal "
-                 "number >= 0\n",
-                 name.c_str(), text.c_str());
-    usage(name, 2);
-  }
-  return tol;
 }
 
 }  // namespace
@@ -62,7 +38,6 @@ BenchReporter::BenchReporter(std::string name, int argc, char** argv)
   // the quick mode (CTest uses this so runs match the committed baselines).
   full_mode_ = !knob_string("SX4NCAR_BENCH_FULL", "").empty();
   results_dir_ = knob_string("SX4NCAR_BENCH_RESULTS_DIR", "bench/results");
-  baseline_dir_ = knob_string("SX4NCAR_BASELINE_DIR", "bench/baselines");
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -75,11 +50,7 @@ BenchReporter::BenchReporter(std::string name, int argc, char** argv)
       return argv[++i];
     };
     if (arg == "--json") json_path_ = value();
-    else if (arg == "--results-dir") results_dir_ = value();
-    else if (arg == "--baseline-dir") baseline_dir_ = value();
-    else if (arg == "--tol") tol_ = parse_tol(name_, value());
     else if (arg == "--list") list_ = true;
-    else if (arg == "--ci-check") ci_check_ = true;
     else if (arg == "--deterministic") deterministic_ = true;
     else if (arg == "--help" || arg == "-h") usage(name_, 0);
     else {
@@ -228,39 +199,6 @@ Json BenchReporter::result_json() const {
   return j;
 }
 
-int BenchReporter::check_baseline(std::ostream& os) {
-  const std::string path = baseline_dir_ + "/" + name_ + ".json";
-  Baseline base;
-  try {
-    base = Baseline::load(path);
-  } catch (const std::exception& e) {
-    os << "[harness] ci-check: " << e.what() << '\n';
-    return 1;
-  }
-  if (base.full_mode != full_mode_) {
-    os << "[harness] ci-check: mode mismatch (baseline "
-       << (base.full_mode ? "full" : "quick") << ", run "
-       << (full_mode_ ? "full" : "quick") << ")\n";
-    return 1;
-  }
-  const CompareResult cmp = compare_metrics(base, metrics_, tol_);
-  for (const auto& d : cmp.deltas) {
-    if (d.status == MetricDelta::Status::Missing) {
-      os << "[harness] ci-check MISSING " << d.name << " (baseline "
-         << Json::number_to_string(d.baseline) << ")\n";
-    } else if (d.status == MetricDelta::Status::Regressed) {
-      os << "[harness] ci-check REGRESSED " << d.name << ": baseline "
-         << Json::number_to_string(d.baseline) << ", now "
-         << Json::number_to_string(d.actual) << " ("
-         << Json::number_to_string(100.0 * d.rel_change) << "%)\n";
-    }
-  }
-  os << "[harness] ci-check vs " << path << ": " << cmp.deltas.size()
-     << " metrics, " << cmp.regressed << " regressed, " << cmp.missing
-     << " missing\n";
-  return cmp.ok() ? 0 : 1;
-}
-
 int BenchReporter::finish(std::ostream& os) {
   int failed = 0;
   for (const auto& e : expectations_) {
@@ -278,8 +216,7 @@ int BenchReporter::finish(std::ostream& os) {
     }
   }
 
-  int rc = failed == 0 ? 0 : 1;
-  if (ci_check_ && check_baseline(os) != 0) rc = 1;
+  const int rc = failed == 0 ? 0 : 1;
 
   if (list_) {
     for (const auto& m : metrics_) {
@@ -301,25 +238,15 @@ int BenchReporter::finish(std::ostream& os) {
     if (json_path_.empty()) return rc;
   }
 
-  const std::string path =
-      json_path_.empty() ? results_dir_ + "/" + name_ + ".json" : json_path_;
+  const std::string path = json_path_.empty() ? aux_path("json") : json_path_;
   try {
-    const std::filesystem::path p(path);
-    if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
-    std::ofstream out(path);
-    if (!out) throw std::runtime_error("cannot write " + path);
-    out << result_json().dump() << '\n';
+    result_json().save(path);
     os << "[harness] wrote " << path << '\n';
   } catch (const std::exception& e) {
     os << "[harness] ERROR writing result JSON: " << e.what() << '\n';
     return 2;
   }
   return rc;
-}
-
-Baseline result_to_baseline(const Json& result) {
-  Baseline b = Baseline::from_json(result);
-  return b;
 }
 
 }  // namespace ncar::bench

@@ -14,21 +14,16 @@
 //
 // The reporter prints the host-execution banner at construction, collects
 // named scalar metrics and paper expectations during the run, and at
-// finish() prints a verdict block, writes bench/results/<name>.json, and
-// returns the process exit code (0 only if every expectation holds — and,
-// under --ci-check, if no metric regressed against the committed
-// baseline). Command line:
+// finish() prints a verdict block, writes the result JSON, and returns the
+// process exit code (0 only if every expectation holds). It never reads a
+// baseline: `bench_gate` is the one place a result meets its committed
+// baseline (ctest -L bench-gate). Command line:
 //
 //   --json <path>         write the result JSON to <path> instead of
-//                         <results-dir>/<name>.json
-//   --results-dir <dir>   result directory (default bench/results, or
-//                         $SX4NCAR_BENCH_RESULTS_DIR)
+//                         $SX4NCAR_BENCH_RESULTS_DIR/<name>.json (default
+//                         directory bench/results)
 //   --list                print registered metrics/expectations instead of
 //                         writing JSON
-//   --ci-check            also diff metrics against the committed baseline
-//   --baseline-dir <dir>  baseline directory for --ci-check (default
-//                         bench/baselines, or $SX4NCAR_BASELINE_DIR)
-//   --tol <rel>           baseline tolerance for --ci-check (default 0.02)
 //   --deterministic       omit host-dependent JSON fields (host_execution,
 //                         wall_time_s, host_metrics) so emitted files are
 //                         byte-identical across host-thread policies
@@ -103,11 +98,12 @@ public:
   bool full_mode() const { return full_mode_; }
 
   /// Default location for the Chrome trace a bench may emit in
-  /// SX4NCAR_TRACE=full mode: <results-dir>/<name>.trace.json.
+  /// SX4NCAR_TRACE=full mode: <results>/<name>.trace.json, where <results> is
+  /// $SX4NCAR_BENCH_RESULTS_DIR (default bench/results).
   std::string trace_path() const { return aux_path("trace.json"); }
 
   /// Path for an auxiliary artifact riding along with the result JSON:
-  /// <results-dir>/<name>.<suffix> (e.g. design_sweep's full report).
+  /// <results>/<name>.<suffix> (e.g. design_sweep's full report).
   std::string aux_path(const std::string& suffix) const {
     return results_dir_ + "/" + name_ + "." + suffix;
   }
@@ -128,27 +124,18 @@ public:
 
 private:
   [[noreturn]] void config_exit(const config_error& e) const;
-  int check_baseline(std::ostream& os);
 
   std::string name_;
   bool full_mode_ = false;
   bool list_ = false;
-  bool ci_check_ = false;
   bool deterministic_ = false;
-  double tol_ = 0.02;
   std::string json_path_;
   std::string results_dir_;
-  std::string baseline_dir_;
   std::string host_execution_;
   std::chrono::steady_clock::time_point start_;
   std::vector<Metric> metrics_;
   std::vector<Metric> host_metrics_;
   std::vector<Expectation> expectations_;
 };
-
-/// Convert a result-v1 document into the committed-baseline schema
-/// (drops host-dependent fields and expectations). Used by
-/// `bench_gate --update-baselines`.
-Baseline result_to_baseline(const Json& result);
 
 }  // namespace ncar::bench

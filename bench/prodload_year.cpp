@@ -13,7 +13,7 @@
 // tombstones), and the bench accumulates aggregates, never per-job
 // records. Every simulated metric is deterministic — byte-identical
 // across repeat runs, host-thread policies, and SX4NCAR_TRACE settings
-// (bench/cmake/year_determinism_check.cmake pins this). The only
+// (ctest prodload_year_determinism pins this). The only
 // host-dependent output is the events/sec throughput of the kernel
 // itself, reported as a host metric (omitted under --deterministic).
 //

@@ -194,7 +194,7 @@ std::string format_number(double v) {
   // Mirrors the bench harness writer (bench/harness/json.cpp): integral
   // values print without a decimal point, everything else via std::to_chars
   // for shortest round-trip form, so parse(to_table()) reproduces the exact
-  // double and the sweep JSON is byte-stable.
+  // double.
   if (!std::isfinite(v)) return "inf";
   if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
     char buf[32];

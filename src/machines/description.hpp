@@ -53,7 +53,8 @@ const std::vector<KeyInfo>& description_schema();
 
 /// Shortest round-trip rendering of a value: integral values without a
 /// decimal point, everything else via std::to_chars so parsing reproduces
-/// the exact double. Shared by to_table() and the sweep JSON writer.
+/// the exact double. Used by to_table(), validation messages and the
+/// design_sweep and design_space tables.
 std::string format_number(double v);
 
 /// True when `key` names a schema entry.

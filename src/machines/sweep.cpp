@@ -427,127 +427,4 @@ SweepReport run_sweep(const Grid& grid, const SweepOptions& opts) {
   return rep;
 }
 
-// ---------------------------------------------------------------------------
-// Deterministic JSON report
-
-namespace {
-
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_number(std::string& out, double v) {
-  out += std::isfinite(v) ? format_number(v) : "null";
-}
-
-}  // namespace
-
-std::string SweepReport::to_json() const {
-  std::string j = "{\n  \"kernel\": ";
-  append_escaped(j, kernel);
-
-  j += ",\n  \"base\": {\n    \"name\": ";
-  append_escaped(j, base.name);
-  for (const auto& [key, value] : base.entries) {
-    j += ",\n    ";
-    append_escaped(j, key);
-    j += ": ";
-    append_number(j, value);
-  }
-  j += "\n  },\n  \"axes\": [";
-  for (std::size_t a = 0; a < axes.size(); ++a) {
-    j += a == 0 ? "\n" : ",\n";
-    j += "    {\"key\": ";
-    append_escaped(j, axes[a].key);
-    j += ", \"values\": [";
-    for (std::size_t v = 0; v < axes[a].values.size(); ++v) {
-      if (v != 0) j += ", ";
-      append_number(j, axes[a].values[v]);
-    }
-    j += "]}";
-  }
-  j += "\n  ],\n  \"grid_size\": " + format_number(static_cast<double>(points.size()));
-  j += ",\n  \"valid_points\": " +
-       format_number(static_cast<double>(valid_count()));
-  j += ",\n  \"memory_bound_points\": " +
-       format_number(static_cast<double>(memory_bound_count()));
-  j += ",\n  \"compute_bound_points\": " +
-       format_number(static_cast<double>(valid_count() - memory_bound_count()));
-  j += ",\n  \"flip_edges\": " +
-       format_number(static_cast<double>(flips.size()));
-  j += ",\n  \"cost_cache\": {\"hits\": " +
-       format_number(static_cast<double>(cache_hits)) +
-       ", \"misses\": " + format_number(static_cast<double>(cache_misses)) +
-       "}";
-
-  if (const PointResult* best = fastest()) {
-    j += ",\n  \"fastest\": {\"index\": " +
-         format_number(static_cast<double>(best->index)) + ", \"seconds\": ";
-    append_number(j, best->seconds);
-    j += ", \"hw_mflops\": ";
-    append_number(j, best->hw_mflops);
-    j += "}";
-  }
-
-  j += ",\n  \"flips\": [";
-  for (std::size_t f = 0; f < flips.size(); ++f) {
-    j += f == 0 ? "\n" : ",\n";
-    j += "    {\"from\": " + format_number(static_cast<double>(flips[f].from)) +
-         ", \"to\": " + format_number(static_cast<double>(flips[f].to)) +
-         ", \"axis\": ";
-    append_escaped(j, flips[f].axis);
-    j += "}";
-  }
-  j += flips.empty() ? "],\n" : "\n  ],\n";
-
-  j += "  \"points\": [";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const PointResult& p = points[i];
-    j += i == 0 ? "\n" : ",\n";
-    j += "    {\"index\": " + format_number(static_cast<double>(p.index)) +
-         ", \"values\": [";
-    for (std::size_t v = 0; v < p.values.size(); ++v) {
-      if (v != 0) j += ", ";
-      append_number(j, p.values[v]);
-    }
-    j += "], ";
-    if (!p.valid) {
-      j += "\"valid\": false, \"error\": ";
-      append_escaped(j, p.error);
-      j += "}";
-      continue;
-    }
-    j += "\"valid\": true, \"seconds\": ";
-    append_number(j, p.seconds);
-    j += ", \"hw_mflops\": ";
-    append_number(j, p.hw_mflops);
-    j += ", \"memory_gain\": ";
-    append_number(j, p.memory_gain);
-    j += ", \"compute_gain\": ";
-    append_number(j, p.compute_gain);
-    j += ", \"memory_bound\": ";
-    j += p.memory_bound ? "true" : "false";
-    j += "}";
-  }
-  j += points.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return j;
-}
-
 }  // namespace ncar::machines

@@ -25,9 +25,11 @@
 //
 // Determinism: replay is a pure function of (probe, config), points are
 // written into a preallocated slot per index, and aggregate counters are
-// order-independent integer sums — so the JSON report is byte-identical
-// across Sequential and Threaded execution and across repeated runs
-// (tests/machines/test_sweep.cpp, bench/design_sweep determinism check).
+// order-independent integer sums — so every field of a SweepReport except
+// peak_live_workspaces is bit-identical across Sequential and Threaded
+// execution and across repeated runs (tests/machines/test_sweep.cpp).
+// bench/design_sweep writes the report as JSON
+// (bench/harness/sweep_report.hpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -169,22 +171,18 @@ struct SweepReport {
   std::vector<PointResult> points;
   std::vector<FlipEdge> flips;
   /// Order-independent sums of the points' Replay price-table counts
-  /// (deterministic, serialised).
+  /// (deterministic).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// Peak simultaneously-live replay workspaces (bounded-memory witness:
-  /// never exceeds the host thread count). Host-thread-dependent, so NOT
-  /// part of to_json().
+  /// never exceeds the host thread count). Host-thread-dependent, so no
+  /// report carries it.
   int peak_live_workspaces = 0;
 
   std::size_t valid_count() const;
   std::size_t memory_bound_count() const;
   /// Fastest valid point, ties broken by lower index; nullptr when none.
   const PointResult* fastest() const;
-
-  /// Deterministic JSON: insertion-ordered keys, shortest round-trip
-  /// numbers — byte-identical across execution policies and runs.
-  std::string to_json() const;
 };
 
 /// Replay the kernel's probe over every grid point (each point plus its

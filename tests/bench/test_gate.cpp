@@ -13,7 +13,6 @@
 #include "harness/baseline.hpp"
 #include "harness/expectation.hpp"
 #include "harness/json.hpp"
-#include "harness/reporter.hpp"
 
 namespace fs = std::filesystem;
 
@@ -93,7 +92,7 @@ protected:
 TEST_F(GateTest, MatchingResultsPass) {
   const Json result = make_result("demo", 537.0, 226.62);
   write("results/demo.json", result);
-  write("baselines/demo.json", result_to_baseline(result).to_json());
+  write("baselines/demo.json", Baseline::from_json(result).to_json());
 
   GateReport report;
   EXPECT_EQ(run_gate(opts(), log_, &report), 0);
@@ -105,7 +104,7 @@ TEST_F(GateTest, MatchingResultsPass) {
 
 TEST_F(GateTest, InjectedTwentyPercentRegressionFails) {
   const Json good = make_result("demo", 537.0, 226.62);
-  write("baselines/demo.json", result_to_baseline(good).to_json());
+  write("baselines/demo.json", Baseline::from_json(good).to_json());
   write("results/demo.json", make_result("demo", 537.0 * 0.8, 226.62));
 
   GateReport report;
@@ -118,7 +117,7 @@ TEST_F(GateTest, InjectedTwentyPercentRegressionFails) {
 
 TEST_F(GateTest, MissingMetricFails) {
   const Json good = make_result("demo", 537.0, 226.62);
-  write("baselines/demo.json", result_to_baseline(good).to_json());
+  write("baselines/demo.json", Baseline::from_json(good).to_json());
   Json shrunk = make_result("demo", 537.0, 226.62);
   Json ms = Json::object();
   ms.set("demo.mflops", 537.0);  // drops demo.seconds
@@ -133,7 +132,7 @@ TEST_F(GateTest, MissingMetricFails) {
 
 TEST_F(GateTest, MissingResultFileFails) {
   write("baselines/demo.json",
-        result_to_baseline(make_result("demo", 537.0, 226.62)).to_json());
+        Baseline::from_json(make_result("demo", 537.0, 226.62)).to_json());
 
   GateReport report;
   EXPECT_EQ(run_gate(opts(), log_, &report), 1);
@@ -142,7 +141,7 @@ TEST_F(GateTest, MissingResultFileFails) {
 
 TEST_F(GateTest, ModeMismatchFails) {
   const Json quick = make_result("demo", 537.0, 226.62);
-  write("baselines/demo.json", result_to_baseline(quick).to_json());
+  write("baselines/demo.json", Baseline::from_json(quick).to_json());
   Json full = make_result("demo", 537.0, 226.62);
   full.set("full_mode", true);
   write("results/demo.json", full);
@@ -156,7 +155,7 @@ TEST_F(GateTest, FailedRecordedExpectationFails) {
   const Json result = make_result("demo", 537.0, 226.62,
                                   /*expectation_passes=*/false);
   write("results/demo.json", result);
-  write("baselines/demo.json", result_to_baseline(result).to_json());
+  write("baselines/demo.json", Baseline::from_json(result).to_json());
 
   GateReport report;
   EXPECT_EQ(run_gate(opts(), log_, &report), 1);
@@ -185,7 +184,7 @@ TEST_F(GateTest, ResultWithoutBaselineStillGatesItsExpectations) {
 
 TEST_F(GateTest, CorruptResultFails) {
   write("baselines/demo.json",
-        result_to_baseline(make_result("demo", 537.0, 226.62)).to_json());
+        Baseline::from_json(make_result("demo", 537.0, 226.62)).to_json());
   std::ofstream(root_ / "results/demo.json") << "{broken";
 
   GateReport report;
@@ -222,12 +221,54 @@ TEST_F(GateTest, UpdateBaselinesWritesLoadableFiles) {
   EXPECT_EQ(run_gate(opts(), log_), 0);
 }
 
+TEST_F(GateTest, UpdateBaselinesFailsOnAnUnreadableResult) {
+  write("results/demo.json", make_result("demo", 537.0, 226.62));
+  std::ofstream(root_ / "results/zz_broken.json") << "{broken";
+
+  GateOptions o = opts();
+  o.update_baselines = true;
+  EXPECT_EQ(run_gate(o, log_), 1);
+  EXPECT_NE(log_.str().find("zz_broken.json"), std::string::npos)
+      << log_.str();
+  // Nothing is baselined from a results directory that does not read.
+  EXPECT_FALSE(fs::exists(root_ / "baselines/demo.json"));
+}
+
+TEST_F(GateTest, ArtifactsBesideResultsAreNotBenches) {
+  const Json result = make_result("demo", 537.0, 226.62);
+  write("results/demo.json", result);
+  write("baselines/demo.json", Baseline::from_json(result).to_json());
+  // A Chrome trace and a sweep report written next to the result
+  // (BenchReporter::aux_path) carry no "bench" key.
+  std::ofstream(root_ / "results/demo.trace.json") << R"({"traceEvents": []})";
+  std::ofstream(root_ / "results/demo.report.json") << R"({"kernel": "x"})";
+
+  GateReport report;
+  EXPECT_EQ(run_gate(opts(), log_, &report), 0);
+  ASSERT_EQ(report.entries.size(), 1u);
+  EXPECT_EQ(report.entries[0].bench, "demo");
+
+  GateOptions o = opts();
+  o.update_baselines = true;
+  EXPECT_EQ(run_gate(o, log_), 0);
+  EXPECT_FALSE(fs::exists(root_ / "baselines/demo.trace.json"));
+}
+
+TEST_F(GateTest, SummaryRecordsTheFixedTolerance) {
+  const Json result = make_result("demo", 537.0, 226.62);
+  write("results/demo.json", result);
+  write("baselines/demo.json", Baseline::from_json(result).to_json());
+  EXPECT_EQ(run_gate(opts(), log_), 0);
+  EXPECT_EQ(read_summary().at("rel_tol").as_number(), kGateRelTol);
+  EXPECT_EQ(kGateRelTol, 0.02);
+}
+
 TEST_F(GateTest, SummaryEntriesAreSortedByBench) {
   for (const char* name : {"zeta", "alpha", "mid"}) {
     const Json r = make_result(name, 100.0, 1.0);
     write(fs::path("results") / (std::string(name) + ".json"), r);
     write(fs::path("baselines") / (std::string(name) + ".json"),
-          result_to_baseline(r).to_json());
+          Baseline::from_json(r).to_json());
   }
   GateReport report;
   EXPECT_EQ(run_gate(opts(), log_, &report), 0);

@@ -1,11 +1,12 @@
 // Sweep determinism + bounded-memory battery: the grid is lazy
-// (index-decoded, never materialised), sequential and threaded sweeps emit
-// byte-identical JSON, repeated runs are byte-identical, the number of
+// (index-decoded, never materialised), sequential, threaded and repeated
+// sweeps agree bit for bit on every field a report carries, the number of
 // simultaneously-live replay workspaces is bounded by the host thread
 // count, and every double of the design_sweep grid is pinned.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -48,6 +49,55 @@ Grid small_grid() {
                               {"port_bytes_per_clock", {32, 128}},
                               {"memory_banks", {256, 1024}},
                           });
+}
+
+/// A double's bit pattern: equal patterns, not merely equal values.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (const double x : v) out.push_back(bits(x));
+  return out;
+}
+
+/// Every field of `b` that design_sweep's report writes equals `a`'s bit
+/// for bit (peak_live_workspaces, a host gauge, is never written).
+void expect_same_report(const SweepReport& a, const SweepReport& b) {
+  EXPECT_EQ(a.kernel, b.kernel);
+  EXPECT_EQ(a.base.name, b.base.name);
+  ASSERT_EQ(a.base.entries.size(), b.base.entries.size());
+  for (std::size_t i = 0; i < a.base.entries.size(); ++i) {
+    EXPECT_EQ(a.base.entries[i].first, b.base.entries[i].first);
+    EXPECT_EQ(bits(a.base.entries[i].second), bits(b.base.entries[i].second));
+  }
+  ASSERT_EQ(a.axes.size(), b.axes.size());
+  for (std::size_t i = 0; i < a.axes.size(); ++i) {
+    EXPECT_EQ(a.axes[i].key, b.axes[i].key);
+    EXPECT_EQ(bits(a.axes[i].values), bits(b.axes[i].values));
+  }
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (std::size_t i = 0; i < a.points.size(); ++i) {
+    const auto& p = a.points[i];
+    const auto& q = b.points[i];
+    SCOPED_TRACE(i);
+    EXPECT_EQ(p.index, q.index);
+    EXPECT_EQ(bits(p.values), bits(q.values));
+    EXPECT_EQ(p.valid, q.valid);
+    EXPECT_EQ(p.error, q.error);
+    EXPECT_EQ(bits(p.seconds), bits(q.seconds));
+    EXPECT_EQ(bits(p.hw_mflops), bits(q.hw_mflops));
+    EXPECT_EQ(bits(p.memory_gain), bits(q.memory_gain));
+    EXPECT_EQ(bits(p.compute_gain), bits(q.compute_gain));
+    EXPECT_EQ(p.memory_bound, q.memory_bound);
+  }
+  ASSERT_EQ(a.flips.size(), b.flips.size());
+  for (std::size_t i = 0; i < a.flips.size(); ++i) {
+    EXPECT_EQ(a.flips[i].from, b.flips[i].from);
+    EXPECT_EQ(a.flips[i].to, b.flips[i].to);
+    EXPECT_EQ(a.flips[i].axis, b.flips[i].axis);
+  }
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
 }
 
 // ---------------------------------------------------------------------------
@@ -198,27 +248,27 @@ TEST(Probe, RecordedOncePerProcess) {
 
 TEST(Probe, RacingFirstUseGivesIdenticalSweeps) {
   // Two sweeps started together from two host threads race to record each
-  // kernel's probe and must still agree byte for byte. ctest runs every
-  // test in a process of its own, so there this is the probes' first use.
+  // kernel's probe and must still agree bit for bit. ctest runs every test
+  // in a process of its own, so there this is the probes' first use.
   for (const std::string& kernel : ncar::machines::probe_kernels()) {
     SCOPED_TRACE(kernel);
     SweepOptions opts;
     opts.kernel = kernel;
     opts.policy = ExecutionPolicy::Sequential;
-    std::string a, b;
-    std::thread ta([&] { a = run_sweep(small_grid(), opts).to_json(); });
-    std::thread tb([&] { b = run_sweep(small_grid(), opts).to_json(); });
+    SweepReport a, b;
+    std::thread ta([&] { a = run_sweep(small_grid(), opts); });
+    std::thread tb([&] { b = run_sweep(small_grid(), opts); });
     ta.join();
     tb.join();
-    EXPECT_FALSE(a.empty());
-    EXPECT_EQ(a, b);
+    EXPECT_FALSE(a.points.empty());
+    expect_same_report(a, b);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Sweep determinism
 
-TEST(Sweep, SequentialAndThreadedJsonByteIdentical) {
+TEST(Sweep, SequentialAndThreadedBitIdentical) {
   SweepOptions seq;
   seq.kernel = "radabs";
   seq.policy = ExecutionPolicy::Sequential;
@@ -231,19 +281,17 @@ TEST(Sweep, SequentialAndThreadedJsonByteIdentical) {
   thr.pool = &pool;
   const SweepReport b = run_sweep(small_grid(), thr);
 
-  EXPECT_EQ(a.to_json(), b.to_json());
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  expect_same_report(a, b);
 }
 
 TEST(Sweep, RepeatedRunsByteIdentical) {
   SweepOptions opts;
   opts.kernel = "vfft";
   opts.policy = ExecutionPolicy::Sequential;
-  const std::string first = run_sweep(small_grid(), opts).to_json();
-  const std::string second = run_sweep(small_grid(), opts).to_json();
-  EXPECT_EQ(first, second);
-  EXPECT_FALSE(first.empty());
+  const SweepReport first = run_sweep(small_grid(), opts);
+  const SweepReport second = run_sweep(small_grid(), opts);
+  EXPECT_FALSE(first.points.empty());
+  expect_same_report(first, second);
 }
 
 TEST(Sweep, LiveWorkspacesBoundedByHostThreads) {
@@ -396,7 +444,7 @@ TEST(Sweep, FlipEdgesConnectDisagreeingNeighbors) {
   }
 }
 
-TEST(Sweep, FastestPointAndJsonShape) {
+TEST(Sweep, FastestPointBeatsEveryValidPoint) {
   SweepOptions opts;
   opts.kernel = "radabs";
   opts.policy = ExecutionPolicy::Sequential;
@@ -408,14 +456,6 @@ TEST(Sweep, FastestPointAndJsonShape) {
       EXPECT_LE(best->seconds, p.seconds);
     }
   }
-  const std::string j = rep.to_json();
-  EXPECT_NE(j.find("\"kernel\": \"radabs\""), std::string::npos);
-  EXPECT_NE(j.find("\"grid_size\": 24"), std::string::npos);
-  EXPECT_NE(j.find("\"valid_points\": 16"), std::string::npos);
-  EXPECT_NE(j.find("\"memory_bound\""), std::string::npos);
-  EXPECT_NE(j.find("\"flips\""), std::string::npos);
-  // peak_live_workspaces is host-thread-dependent: never serialised.
-  EXPECT_EQ(j.find("peak_live_workspaces"), std::string::npos);
 }
 
 }  // namespace
