@@ -220,9 +220,14 @@ int main(int argc, char** argv) {
   rep.expect_true("design_sweep.classification_total",
                   report.memory_bound_count() <= report.valid_count(),
                   "memory-bound points are a subset of valid points");
-  rep.expect_true("design_sweep.flip_boundary_found",
-                  !report.flips.empty(),
-                  "the default grid straddles the memory/compute boundary");
+  // RADABS and VFFT are memory-bound on part of the default grid and
+  // compute-bound on the rest, so a flip edge must show; HINT's default
+  // grid lies on one side of the boundary, so no edge is a valid result.
+  if (kernel == "radabs" || kernel == "vfft") {
+    rep.expect_true("design_sweep.flip_boundary_found", !report.flips.empty(),
+                    "the default grid straddles the memory/compute boundary "
+                    "for " + kernel);
+  }
   rep.expect_true("design_sweep.report_written", report_written,
                   "the per-point JSON report must be written");
   return rep.finish(std::cout);

@@ -17,7 +17,7 @@ using spectral::cd;
 Ccm2::Ccm2(const Ccm2Config& cfg, sxs::Node& node)
     : cfg_(cfg),
       node_(&node),
-      sht_(cfg.res.truncation, cfg.res.nlat, cfg.res.nlon),
+      sht_(cfg.res.truncation, cfg.res.nlat, cfg.res.nlon, node.host_pool()),
       slt_(sht_.nodes(), cfg.res.nlon, cfg.radius),
       fft_plan_(cfg.res.nlon),
       zlam_(static_cast<std::size_t>(cfg.res.nlon),
@@ -32,7 +32,6 @@ Ccm2::Ccm2(const Ccm2Config& cfg, sxs::Node& node)
   NCAR_REQUIRE(cfg_.active_levels >= 1 && cfg_.active_levels <= cfg_.res.nlev,
                "active_levels must be in [1, nlev]");
   NCAR_REQUIRE(cfg_.radiation_col_stride >= 1, "radiation column stride");
-  sht_.set_thread_pool(node.host_pool());
   reset();
 }
 
@@ -61,21 +60,29 @@ void Ccm2::reset() {
 
   // Moisture: a positive zonally-varying blob, decaying with level; and a
   // realistic meridional temperature profile.
+  // Each factor is computed once per level, latitude or longitude; the
+  // products keep the point loop's operation order, so every double is the
+  // one the per-point expressions give.
   const std::size_t ni = zlam_.ni(), nj = zlam_.nj();
   q_.assign(static_cast<std::size_t>(L), Array2D<double>(ni, nj));
   temp_.assign(static_cast<std::size_t>(L), Array2D<double>(ni, nj));
+  std::vector<double> cos_lam(ni);
+  for (std::size_t i = 0; i < ni; ++i) {
+    const double lam = 2.0 * std::numbers::pi * static_cast<double>(i) /
+                       static_cast<double>(ni);
+    cos_lam[i] = std::cos(lam);
+  }
   for (int l = 0; l < L; ++l) {
+    const double q_level = 0.010 * std::exp(-0.2 * l);
     for (std::size_t j = 0; j < nj; ++j) {
       const double mu = sht_.nodes().mu[j];
       const double cphi = std::sqrt(1.0 - mu * mu);
+      const double q_row = q_level * cphi;
+      const double t_row = 250.0 + 35.0 * cphi * cphi - 4.0 * l;
       for (std::size_t i = 0; i < ni; ++i) {
-        const double lam = 2.0 * std::numbers::pi * static_cast<double>(i) /
-                           static_cast<double>(ni);
         q_[static_cast<std::size_t>(l)](i, j) =
-            0.010 * std::exp(-0.2 * l) * cphi *
-            (1.0 + 0.5 * std::cos(lam) * cphi);
-        temp_[static_cast<std::size_t>(l)](i, j) =
-            250.0 + 35.0 * cphi * cphi - 4.0 * l;
+            q_row * (1.0 + 0.5 * cos_lam[i] * cphi);
+        temp_[static_cast<std::size_t>(l)](i, j) = t_row;
       }
     }
   }

@@ -7,12 +7,47 @@
 // point of the RFFT/VFFT coding-style benchmark (paper section 4.3).
 
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 
 namespace ncar {
+
+/// Constructor tag: size an array without writing its elements. The owner
+/// writes every element before reading it, so the lanes that fill the
+/// array do the first touch of its pages instead of a serial zero pass.
+struct Uninitialized {};
+
+namespace detail {
+
+/// std::allocator whose value-less construct default-initialises (for
+/// arithmetic T: leaves the element unwritten).
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+};
+
+}  // namespace detail
 
 /// 2-D column-major array: a(i, j) with `i` fastest (Fortran a(ni, nj)).
 template <typename T>
@@ -60,6 +95,8 @@ public:
   Array3D() = default;
   Array3D(std::size_t ni, std::size_t nj, std::size_t nk, T init = T{})
       : ni_(ni), nj_(nj), nk_(nk), data_(ni * nj * nk, init) {}
+  Array3D(std::size_t ni, std::size_t nj, std::size_t nk, Uninitialized)
+      : ni_(ni), nj_(nj), nk_(nk), data_(ni * nj * nk) {}
 
   T& operator()(std::size_t i, std::size_t j, std::size_t k) {
     return data_[i + ni_ * (j + nj_ * k)];
@@ -90,7 +127,7 @@ public:
 
 private:
   std::size_t ni_ = 0, nj_ = 0, nk_ = 0;
-  std::vector<T> data_;
+  std::vector<T, detail::DefaultInitAllocator<T>> data_;
 };
 
 }  // namespace ncar

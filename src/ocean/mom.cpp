@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "simd/simd.hpp"
 #include "sxs/ops.hpp"
 
@@ -25,14 +26,18 @@ Mom::Mom(const MomConfig& cfg, sxs::Node& node)
     : cfg_(cfg),
       node_(&node),
       mask_(cfg.nlon, cfg.nlat),
+      // The 3-D fields are first written on the node's lanes: T and S by
+      // reset(), the scratch planes zeroed below (the stencil writes its
+      // rows before reading them; zeroing here keeps the page faults out of
+      // the first step).
       temp_(static_cast<std::size_t>(cfg.nlon), static_cast<std::size_t>(cfg.nlat),
-            static_cast<std::size_t>(cfg.nlev)),
-      salt_(temp_.ni(), temp_.nj(), temp_.nk()),
+            static_cast<std::size_t>(cfg.nlev), Uninitialized{}),
+      salt_(temp_.ni(), temp_.nj(), temp_.nk(), Uninitialized{}),
       psi_(temp_.ni(), temp_.nj()),
       forcing_(temp_.ni(), temp_.nj()),
       u_(temp_.ni(), temp_.nj()),
       v_(temp_.ni(), temp_.nj()),
-      scratch_(temp_.ni(), temp_.nj(), temp_.nk()),
+      scratch_(temp_.ni(), temp_.nj(), temp_.nk(), Uninitialized{}),
       mask_c_(temp_.ni(), temp_.nj()),
       mask_ip_(temp_.ni(), temp_.nj()),
       mask_im_(temp_.ni(), temp_.nj()),
@@ -57,26 +62,40 @@ Mom::Mom(const MomConfig& cfg, sxs::Node& node)
       mask_jm_(ii, jj) = (j > 0 && mask_.ocean(i, j - 1)) ? 1.0 : 0.0;
     }
   }
+  parallel_blocks(node.host_pool(), cfg.nlev, [&](int, int lo, int hi) {
+    for (int k = lo; k < hi; ++k) {
+      const auto plane = scratch_.plane(static_cast<std::size_t>(k));
+      std::fill(plane.begin(), plane.end(), 0.0);
+    }
+  });
   reset();
 }
 
 void Mom::reset() {
   const int nlon = cfg_.nlon, nlat = cfg_.nlat, nlev = cfg_.nlev;
-  for (int k = 0; k < nlev; ++k) {
-    const double depth_frac = static_cast<double>(k) / nlev;
-    for (int j = 0; j < nlat; ++j) {
-      const double lat = -90.0 + (j + 0.5) * 180.0 / nlat;
-      const double surface_t = 2.0 + 26.0 * std::cos(lat * M_PI / 180.0);
-      for (int i = 0; i < nlon; ++i) {
-        const std::size_t ii = static_cast<std::size_t>(i);
+  // Levels split over the node's host pool, each level's planes written by
+  // one lane. The depth decay and the salinity are computed once per level
+  // and the product once per row: the same doubles the per-point
+  // expressions gave, so the state is bit-identical for every pool.
+  parallel_blocks(node_->host_pool(), nlev, [&](int, int lo, int hi) {
+    for (int k = lo; k < hi; ++k) {
+      const double depth_frac = static_cast<double>(k) / nlev;
+      const double decay = std::exp(-3.0 * depth_frac);
+      const double salinity = 35.0 - 1.0 * depth_frac;
+      const std::size_t kk = static_cast<std::size_t>(k);
+      for (int j = 0; j < nlat; ++j) {
+        const double lat = -90.0 + (j + 0.5) * 180.0 / nlat;
+        const double t = (2.0 + 26.0 * std::cos(lat * M_PI / 180.0)) * decay;
         const std::size_t jj = static_cast<std::size_t>(j);
-        const std::size_t kk = static_cast<std::size_t>(k);
-        temp_(ii, jj, kk) =
-            mask_.ocean(i, j) ? surface_t * std::exp(-3.0 * depth_frac) : 0.0;
-        salt_(ii, jj, kk) = mask_.ocean(i, j) ? 35.0 - 1.0 * depth_frac : 0.0;
+        for (int i = 0; i < nlon; ++i) {
+          const std::size_t ii = static_cast<std::size_t>(i);
+          const bool ocean = mask_.ocean(i, j);
+          temp_(ii, jj, kk) = ocean ? t : 0.0;
+          salt_(ii, jj, kk) = ocean ? salinity : 0.0;
+        }
       }
     }
-  }
+  });
   psi_.fill(0.0);
   // Wind-stress curl forcing: westerlies/trades pattern.
   for (int j = 0; j < cfg_.nlat; ++j) {

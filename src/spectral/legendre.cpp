@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 
 namespace ncar::spectral {
 
@@ -34,36 +35,68 @@ double eps(int n, int m) {
   return std::sqrt((nn * nn - mm * mm) / (4.0 * nn * nn - 1.0));
 }
 
-/// Evaluate Pbar up to degree `deg` for all m <= min(deg, T)-columns of a
-/// rectangular-ish table indexed by a caller-provided accessor.
-void evaluate_to_degree(int t, int deg, double mu, std::vector<double>& buf,
-                        int stride) {
-  // buf holds columns m = 0..t, each of length deg-m+1, packed with
-  // column starts supplied via `stride`-free packing computed here.
-  (void)stride;
-  const double s = std::sqrt(1.0 - mu * mu);
-  int off = 0;
-  // First compute the diagonal Pbar_m^m, carried along column starts.
-  std::vector<double> diag(static_cast<std::size_t>(t) + 1);
-  diag[0] = 1.0;
-  for (int m = 1; m <= t; ++m) {
-    diag[static_cast<std::size_t>(m)] =
-        std::sqrt((2.0 * m + 1.0) / (2.0 * m)) * s *
-        diag[static_cast<std::size_t>(m - 1)];
-  }
-  for (int m = 0; m <= t; ++m) {
-    double pm2 = 0.0;                                 // Pbar_{m-1}^m ( = 0 )
-    double pm1 = diag[static_cast<std::size_t>(m)];   // Pbar_m^m
-    buf[static_cast<std::size_t>(off)] = pm1;
-    for (int n = m + 1; n <= deg; ++n) {
-      const double p = (mu * pm1 - eps(n - 1, m) * pm2) / eps(n, m);
-      buf[static_cast<std::size_t>(off + (n - m))] = p;
-      pm2 = pm1;
-      pm1 = p;
+/// The column recurrence of one truncation T, with its coefficients
+/// tabulated once: eps(n, m) for 0 <= m <= T and m <= n <= T+1 (the
+/// derivative reads degree T+1), m-major, and the diagonal factors
+/// sqrt((2m+1)/2m). Every value is the double the inline expressions give.
+class Recurrence {
+public:
+  explicit Recurrence(int t) : t_(t), diag_(static_cast<std::size_t>(t) + 1) {
+    for (int m = 0; m <= t; ++m) {
+      for (int n = m; n <= t + 1; ++n) eps_.push_back(eps(n, m));
+      if (m > 0) {
+        diag_[static_cast<std::size_t>(m)] =
+            std::sqrt((2.0 * m + 1.0) / (2.0 * m));
+      }
     }
-    off += deg - m + 1;
   }
-}
+
+  /// Pbar_n^m(mu) for every coefficient of the truncation into `p`, in
+  /// TriangularIndex order, and, when `dp` is not null, (1 - mu^2)
+  /// dPbar_n^m/dmu into `dp`. Allocates nothing.
+  void row(double mu, double* p, double* dp) const {
+    const double s = std::sqrt(1.0 - mu * mu);
+    double pmm = 1.0;  // Pbar_m^m, carried along the column starts
+    int col = 0;
+    const double* e = eps_.data();
+    for (int m = 0; m <= t_; ++m) {
+      if (m > 0) pmm = diag_[static_cast<std::size_t>(m)] * s * pmm;
+      double* pc = p + col;
+      const int len = t_ - m + 1;
+      // e[k] = eps(m + k, m) for k <= len; pc[k] = Pbar_{m+k}^m.
+      double pm2 = 0.0;  // Pbar_{m-1}^m ( = 0 )
+      double pm1 = pmm;
+      pc[0] = pm1;
+      for (int k = 1; k < len; ++k) {
+        const double v = (mu * pm1 - e[k - 1] * pm2) / e[k];
+        pc[k] = v;
+        pm2 = pm1;
+        pm1 = v;
+      }
+      if (dp != nullptr) {
+        // Pbar_{T+1}^m, read by the derivative at n = T.
+        const double top = (mu * pm1 - e[len - 1] * pm2) / e[len];
+        double* dc = dp + col;
+        for (int k = 0; k < len; ++k) {
+          const int n = m + k;
+          const double pnp1 = k + 1 < len ? pc[k + 1] : top;
+          const double pnm1 = k > 0 ? pc[k - 1] : 0.0;
+          // (1 - mu^2) dPbar_n^m/dmu = -n eps(n+1,m) Pbar_{n+1}^m
+          //                            + (n+1) eps(n,m) Pbar_{n-1}^m
+          dc[k] = -static_cast<double>(n) * e[k + 1] * pnp1 +
+                  static_cast<double>(n + 1) * e[k] * pnm1;
+        }
+      }
+      col += len;
+      e += len + 1;
+    }
+  }
+
+private:
+  int t_;
+  std::vector<double> eps_;  // columns m = 0..T, each n = m..T+1
+  std::vector<double> diag_;
+};
 
 }  // namespace
 
@@ -71,74 +104,47 @@ void evaluate_pbar(int truncation, double mu, const TriangularIndex& idx,
                    std::vector<double>& out) {
   NCAR_REQUIRE(idx.truncation() == truncation, "index mismatch");
   out.resize(static_cast<std::size_t>(idx.size()));
-  // Pack directly at truncation degree.
-  std::vector<double> buf(static_cast<std::size_t>(idx.size()));
-  evaluate_to_degree(truncation, truncation, mu, buf, 0);
-  out = buf;
+  Recurrence(truncation).row(mu, out.data(), nullptr);
 }
 
-LegendreTable::LegendreTable(int truncation, const GaussNodes& nodes)
+LegendreTable::LegendreTable(int truncation, const GaussNodes& nodes,
+                             ThreadPool* pool)
     : index_(truncation), nlat_(static_cast<int>(nodes.mu.size())) {
   NCAR_REQUIRE(nlat_ >= truncation + 1,
                "need at least T+1 Gaussian latitudes for exact quadrature");
-  const int t = truncation;
-  const std::size_t csize = static_cast<std::size_t>(index_.size());
-  p_.resize(csize * static_cast<std::size_t>(nlat_));
-  dp_.resize(csize * static_cast<std::size_t>(nlat_));
-
-  // Extended table to degree T+1 (the derivative recurrence needs n+1).
-  int ext_size = 0;
-  for (int m = 0; m <= t; ++m) ext_size += (t + 1) - m + 1;
-  std::vector<double> ext(static_cast<std::size_t>(ext_size));
-
-  for (int j = 0; j < nlat_; ++j) {
-    const double mu = nodes.mu[static_cast<std::size_t>(j)];
-    evaluate_to_degree(t, t + 1, mu, ext, 0);
-    int ext_off = 0;
-    for (int m = 0; m <= t; ++m) {
-      const int col = index_.column_start(m);
-      for (int n = m; n <= t; ++n) {
-        const double pn = ext[static_cast<std::size_t>(ext_off + (n - m))];
-        const double pnp1 = ext[static_cast<std::size_t>(ext_off + (n + 1 - m))];
-        const double pnm1 =
-            (n > m) ? ext[static_cast<std::size_t>(ext_off + (n - 1 - m))] : 0.0;
-        const std::size_t dst =
-            static_cast<std::size_t>(j) * csize +
-            static_cast<std::size_t>(col + (n - m));
-        p_[dst] = pn;
-        // (1 - mu^2) dPbar_n^m/dmu = -n eps(n+1,m) Pbar_{n+1}^m
-        //                            + (n+1) eps(n,m) Pbar_{n-1}^m
-        dp_[dst] = -static_cast<double>(n) * eps(n + 1, m) * pnp1 +
-                   static_cast<double>(n + 1) * eps(n, m) * pnm1;
-      }
-      ext_off += (t + 1) - m + 1;
+  const std::size_t cells = static_cast<std::size_t>(index_.size()) *
+                            static_cast<std::size_t>(nlat_);
+  p_ = std::make_unique_for_overwrite<double[]>(cells);
+  dp_ = std::make_unique_for_overwrite<double[]>(cells);
+  const Recurrence rec(truncation);
+  parallel_blocks(pool, nlat_, [&](int, int lo, int hi) {
+    for (int j = lo; j < hi; ++j) {
+      rec.row(nodes.mu[static_cast<std::size_t>(j)], p_.get() + row_offset(j),
+              dp_.get() + row_offset(j));
     }
-  }
+  });
+}
+
+std::size_t LegendreTable::row_offset(int j) const {
+  NCAR_REQUIRE(j >= 0 && j < nlat_, "latitude index");
+  return static_cast<std::size_t>(j) * static_cast<std::size_t>(index_.size());
 }
 
 double LegendreTable::p(int j, int m, int n) const {
-  NCAR_REQUIRE(j >= 0 && j < nlat_, "latitude index");
-  return p_[static_cast<std::size_t>(j) * static_cast<std::size_t>(index_.size()) +
-            static_cast<std::size_t>(index_.at(m, n))];
+  return p_[row_offset(j) + static_cast<std::size_t>(index_.at(m, n))];
 }
 
 double LegendreTable::dp(int j, int m, int n) const {
-  NCAR_REQUIRE(j >= 0 && j < nlat_, "latitude index");
-  return dp_[static_cast<std::size_t>(j) * static_cast<std::size_t>(index_.size()) +
-             static_cast<std::size_t>(index_.at(m, n))];
+  return dp_[row_offset(j) + static_cast<std::size_t>(index_.at(m, n))];
 }
 
 const double* LegendreTable::p_column(int j, int m) const {
-  NCAR_REQUIRE(j >= 0 && j < nlat_, "latitude index");
-  return p_.data() +
-         static_cast<std::size_t>(j) * static_cast<std::size_t>(index_.size()) +
+  return p_.get() + row_offset(j) +
          static_cast<std::size_t>(index_.column_start(m));
 }
 
 const double* LegendreTable::dp_column(int j, int m) const {
-  NCAR_REQUIRE(j >= 0 && j < nlat_, "latitude index");
-  return dp_.data() +
-         static_cast<std::size_t>(j) * static_cast<std::size_t>(index_.size()) +
+  return dp_.get() + row_offset(j) +
          static_cast<std::size_t>(index_.column_start(m));
 }
 

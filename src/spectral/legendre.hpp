@@ -7,9 +7,14 @@
 // convention of spectral climate models, so analysis and synthesis are
 // exact inverses under Gaussian quadrature with weights summing to 2.
 
+#include <memory>
 #include <vector>
 
 #include "spectral/gauss.hpp"
+
+namespace ncar {
+class ThreadPool;
+}
 
 namespace ncar::spectral {
 
@@ -34,9 +39,17 @@ private:
 };
 
 /// Table of Pbar_n^m(mu_j) and (1 - mu^2) dPbar/dmu at each latitude.
+///
+/// Built per latitude on the lanes of `pool` (nullptr: inline): the
+/// recurrence coefficients eps(n, m) and the diagonal factors are tabulated
+/// once, then each latitude's row is written by one lane with the same
+/// operations in the same order as the serial build, so the table is
+/// bit-identical for every pool. The rows are left uninitialised until that
+/// lane writes them, so each lane also does the first touch of its pages.
 class LegendreTable {
 public:
-  LegendreTable(int truncation, const GaussNodes& nodes);
+  LegendreTable(int truncation, const GaussNodes& nodes,
+                ThreadPool* pool = nullptr);
 
   int truncation() const { return index_.truncation(); }
   int nlat() const { return nlat_; }
@@ -52,14 +65,16 @@ public:
   const double* dp_column(int j, int m) const;
 
 private:
+  std::size_t row_offset(int j) const;
+
   TriangularIndex index_;
   int nlat_;
-  std::vector<double> p_;   // [lat][coeff]
-  std::vector<double> dp_;  // [lat][coeff]
+  std::unique_ptr<double[]> p_;   // [lat][coeff]
+  std::unique_ptr<double[]> dp_;  // [lat][coeff]
 };
 
-/// Compute the full vector of Pbar_n^m(mu) for one mu (testing hook and
-/// table builder backend).
+/// Compute the full vector of Pbar_n^m(mu) for one mu (testing hook; the
+/// table builder runs the same recurrence).
 void evaluate_pbar(int truncation, double mu, const TriangularIndex& idx,
                    std::vector<double>& out);
 

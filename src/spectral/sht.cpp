@@ -9,17 +9,18 @@
 
 namespace ncar::spectral {
 
-ShTransform::ShTransform(int truncation, int nlat, int nlon)
+ShTransform::ShTransform(int truncation, int nlat, int nlon, ThreadPool* pool)
     : nodes_(gauss_legendre(nlat)),
-      table_(truncation, nodes_),
+      table_(truncation, nodes_, pool),
       nlat_(nlat),
       nlon_(nlon),
       plan_(nlon),
+      pool_(pool),
       // Per lane: two Fourier rows (synthesis_gradient) plus the real-FFT
       // scratch nested after them.
       lane_arenas_(4 * static_cast<std::size_t>(fft::spectrum_size(nlon)) +
                        fft::real_fft_arena_doubles(nlon),
-                   nullptr) {
+                   pool) {
   NCAR_REQUIRE(nlon >= 2 * (truncation + 1),
                "longitude count cannot represent the truncation");
   NCAR_REQUIRE(fft::Plan::supported(nlon), "nlon must factor into 2,3,5");

@@ -27,8 +27,10 @@ class ShTransform {
 public:
   /// A standard quadratic-ish grid: nlon >= 3T+1 avoids aliasing of
   /// quadratic products; nlat = nlon/2. The paper's resolutions (Table 4)
-  /// all satisfy this (e.g. T42: 128 x 64).
-  ShTransform(int truncation, int nlat, int nlon);
+  /// all satisfy this (e.g. T42: 128 x 64). The Legendre table is built on
+  /// the lanes of `pool`, which is then the transforms' pool (see
+  /// set_thread_pool).
+  ShTransform(int truncation, int nlat, int nlon, ThreadPool* pool = nullptr);
 
   int truncation() const { return table_.truncation(); }
   int nlat() const { return nlat_; }

@@ -6,6 +6,7 @@ namespace {
 
 using ncar::Array2D;
 using ncar::Array3D;
+using ncar::Uninitialized;
 
 TEST(Array2D, ColumnMajorLayout) {
   Array2D<double> a(3, 2);
@@ -68,6 +69,18 @@ TEST(Array3D, IndexingRoundTrips) {
 TEST(Array3D, DefaultConstructedIsEmpty) {
   Array3D<double> a;
   EXPECT_EQ(a.size(), 0u);
+}
+
+TEST(Array3D, UninitializedSizesAndCopiesLikeFilled) {
+  Array3D<double> a(3, 4, 5, Uninitialized{});
+  EXPECT_EQ(a.size(), 60u);
+  EXPECT_EQ(a.plane(4).size(), 12u);
+  a.fill(2.5);
+  const Array3D<double> b = a;
+  for (double v : b.flat()) EXPECT_EQ(v, 2.5);
+  // The value constructor still fills.
+  const Array3D<double> z(3, 4, 5);
+  for (double v : z.flat()) EXPECT_EQ(v, 0.0);
 }
 
 }  // namespace

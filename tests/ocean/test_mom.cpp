@@ -6,9 +6,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
+#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "ocean/mask.hpp"
 #include "sxs/machine_config.hpp"
 #include "support/fnv1a.hpp"
@@ -281,6 +284,51 @@ TEST_F(MomTest, InvalidArgsThrow) {
   EXPECT_THROW(mom.step(0), ncar::precondition_error);
   EXPECT_THROW(mom.step(64), ncar::precondition_error);
   EXPECT_THROW(mom.measure_step_seconds(1, 0), ncar::precondition_error);
+}
+
+// Mom::reset splits the levels over the node's host pool. The state right
+// after construction must be the same doubles with no pool and with every
+// pool width, including widths that do not divide the level count, and the
+// same as the serial point-by-point loop it replaced (hashes recorded
+// there). The low-resolution model runs every width; the high-resolution
+// one, 46 MB of T and S, only inline and on four lanes.
+std::vector<double> initial_state(const ocean::MomConfig& cfg, int threads) {
+  sxs::Node n(sxs::MachineConfig::sx4_benchmarked());
+  std::unique_ptr<ThreadPool> pool;
+  if (threads == 0) {
+    n.set_execution_policy(sxs::ExecutionPolicy::Sequential);
+  } else {
+    pool = std::make_unique<ThreadPool>(threads);
+    n.set_execution_policy(sxs::ExecutionPolicy::Threaded);
+    n.set_thread_pool(pool.get());
+  }
+  return ocean::Mom(cfg, n).checkpoint();
+}
+
+void expect_initial_state(const ocean::MomConfig& cfg,
+                          std::initializer_list<int> widths,
+                          std::uint64_t hash) {
+  const std::vector<double> ref = initial_state(cfg, 0);
+  const std::uint64_t h = test::fnv1a(ref);
+  EXPECT_EQ(h, hash) << "hash 0x" << std::hex << h;
+  for (const int threads : widths) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const std::vector<double> state = initial_state(cfg, threads);
+    ASSERT_EQ(state.size(), ref.size());
+    EXPECT_EQ(std::memcmp(state.data(), ref.data(),
+                          state.size() * sizeof(double)),
+              0);
+  }
+}
+
+TEST(MomLanes, ResetStateBitIdentical) {
+  expect_initial_state(ocean::MomConfig::low_resolution(), {1, 2, 3, 4, 7},
+                       0x613d44b6df895bf3ull);
+}
+
+TEST(MomInitialState, HighResolutionHashPinned) {
+  expect_initial_state(ocean::MomConfig::high_resolution(), {4},
+                       0x8a9b98fc75d323e5ull);
 }
 
 }  // namespace

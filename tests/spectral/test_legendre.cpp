@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
+#include "support/fnv1a.hpp"
 
 namespace {
 
@@ -121,6 +126,99 @@ TEST_F(LegendreTableTest, ParityAlternatesAcrossEquator) {
 TEST(LegendreTable, TooFewLatitudesThrow) {
   const auto nodes = gauss_legendre(8);
   EXPECT_THROW(LegendreTable(10, nodes), ncar::precondition_error);
+}
+
+// --- bit-for-bit pins ------------------------------------------------------
+// FNV-1a over the bit patterns of every p and dp entry, latitude-major in
+// storage order, at CCM2's T42 (128 x 64) and T170 (512 x 256) grids.
+// Recorded from the serial per-latitude builder that evaluated eps(n, m)
+// inline, before the coefficients were tabulated and the latitudes split
+// over pool lanes; both had to leave every double as it was. Checked inline
+// and on four lanes.
+
+struct TableHashes {
+  std::uint64_t p, dp;
+};
+
+TableHashes table_hashes(const LegendreTable& table) {
+  std::vector<double> p, dp;
+  for (int j = 0; j < table.nlat(); ++j) {
+    for (int m = 0; m <= table.truncation(); ++m) {
+      const int len = table.index().column_length(m);
+      p.insert(p.end(), table.p_column(j, m), table.p_column(j, m) + len);
+      dp.insert(dp.end(), table.dp_column(j, m), table.dp_column(j, m) + len);
+    }
+  }
+  return {ncar::test::fnv1a(p), ncar::test::fnv1a(dp)};
+}
+
+void expect_pinned(int truncation, int nlat, TableHashes want) {
+  const GaussNodes nodes = gauss_legendre(nlat);
+  ncar::ThreadPool pool(4);
+  for (ncar::ThreadPool* p : {static_cast<ncar::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "inline" : "4 lanes");
+    const TableHashes got = table_hashes(LegendreTable(truncation, nodes, p));
+    EXPECT_EQ(got.p, want.p) << "p hash 0x" << std::hex << got.p;
+    EXPECT_EQ(got.dp, want.dp) << "dp hash 0x" << std::hex << got.dp;
+  }
+}
+
+TEST(LegendrePinned, T42) {
+  expect_pinned(42, 64, {0xac93e08854e65761ull, 0x86c4e4d2f41731d5ull});
+}
+
+TEST(LegendrePinned, T170) {
+  expect_pinned(170, 256, {0xf2d603ec85ba3817ull, 0x213833164506c78dull});
+}
+
+// --- lane invariance -------------------------------------------------------
+// Each latitude row is built by one lane: the table must be the same doubles
+// with no pool and with every pool width, including widths that do not
+// divide the latitude count.
+
+void expect_lane_invariant(int truncation, int nlat) {
+  const GaussNodes nodes = gauss_legendre(nlat);
+  const LegendreTable ref(truncation, nodes);
+  const int coeffs = ref.index().size();
+  for (const int threads : {1, 2, 3, 4, 7}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ncar::ThreadPool pool(threads);
+    const LegendreTable got(truncation, nodes, &pool);
+    for (int j = 0; j < nlat; ++j) {
+      const double* rp = ref.p_column(j, 0);
+      const double* rd = ref.dp_column(j, 0);
+      const double* gp = got.p_column(j, 0);
+      const double* gd = got.dp_column(j, 0);
+      for (int k = 0; k < coeffs; ++k) {
+        EXPECT_EQ(gp[k], rp[k]) << "p j=" << j << " k=" << k;
+        EXPECT_EQ(gd[k], rd[k]) << "dp j=" << j << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(LegendreLanes, T42BitIdenticalForEveryPoolWidth) {
+  expect_lane_invariant(42, 64);
+}
+
+TEST(LegendreLanes, FewerLatitudesThanLanesBitIdentical) {
+  // T3 on four latitudes: the 7-lane pool leaves lanes without a row.
+  expect_lane_invariant(3, 4);
+}
+
+TEST(LegendrePbar, MatchesTableRow) {
+  // The test hook runs the table builder's recurrence.
+  const GaussNodes nodes = gauss_legendre(32);
+  const LegendreTable table(21, nodes);
+  std::vector<double> row;
+  for (int j : {0, 13, 31}) {
+    const double mu = nodes.mu[static_cast<std::size_t>(j)];
+    evaluate_pbar(21, mu, table.index(), row);
+    ASSERT_EQ(row.size(), static_cast<std::size_t>(table.index().size()));
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      EXPECT_EQ(row[k], table.p_column(j, 0)[k]) << "j=" << j << " k=" << k;
+    }
+  }
 }
 
 }  // namespace
