@@ -26,10 +26,7 @@ Mom::Mom(const MomConfig& cfg, sxs::Node& node)
     : cfg_(cfg),
       node_(&node),
       mask_(cfg.nlon, cfg.nlat),
-      // The 3-D fields are first written on the node's lanes: T and S by
-      // reset(), the scratch planes zeroed below (the stencil writes its
-      // rows before reading them; zeroing here keeps the page faults out of
-      // the first step).
+      // T and S are first written on the node's lanes, by reset().
       temp_(static_cast<std::size_t>(cfg.nlon), static_cast<std::size_t>(cfg.nlat),
             static_cast<std::size_t>(cfg.nlev), Uninitialized{}),
       salt_(temp_.ni(), temp_.nj(), temp_.nk(), Uninitialized{}),
@@ -37,14 +34,12 @@ Mom::Mom(const MomConfig& cfg, sxs::Node& node)
       forcing_(temp_.ni(), temp_.nj()),
       u_(temp_.ni(), temp_.nj()),
       v_(temp_.ni(), temp_.nj()),
-      scratch_(temp_.ni(), temp_.nj(), temp_.nk(), Uninitialized{}),
       mask_c_(temp_.ni(), temp_.nj()),
       mask_ip_(temp_.ni(), temp_.nj()),
       mask_im_(temp_.ni(), temp_.nj()),
       mask_jp_(temp_.ni(), temp_.nj()),
       mask_jm_(temp_.ni(), temp_.nj()),
-      lane_rows_(8 * temp_.ni(), node.host_pool()),
-      zeros_(temp_.ni(), 0.0) {
+      lane_rows_(12 * temp_.ni(), node.host_pool()) {
   NCAR_REQUIRE(cfg.nlev >= 2, "need at least two levels");
   NCAR_REQUIRE(cfg.sor_iters >= 1 && cfg.diag_every >= 1, "config");
   // The land mask never changes, so the neighbour selects of the baroclinic
@@ -62,13 +57,17 @@ Mom::Mom(const MomConfig& cfg, sxs::Node& node)
       mask_jm_(ii, jj) = (j > 0 && mask_.ocean(i, j - 1)) ? 1.0 : 0.0;
     }
   }
-  parallel_blocks(node.host_pool(), cfg.nlev, [&](int, int lo, int hi) {
-    for (int k = lo; k < hi; ++k) {
-      const auto plane = scratch_.plane(static_cast<std::size_t>(k));
-      std::fill(plane.begin(), plane.end(), 0.0);
-    }
-  });
+  fit_lanes(node.host_pool());
   reset();
+}
+
+void Mom::fit_lanes(const ThreadPool* pool) {
+  lane_rows_.fit(pool);
+  // Two rows per field and level at each boundary between two lanes.
+  const int lanes =
+      std::min(pool != nullptr ? pool->thread_count() : 1, cfg_.nlat - 2);
+  const auto rows = 4 * static_cast<std::size_t>(lanes - 1) * temp_.nk();
+  halo_.resize(std::max(halo_.size(), rows * temp_.ni()));
 }
 
 void Mom::reset() {
@@ -97,6 +96,8 @@ void Mom::reset() {
     }
   });
   psi_.fill(0.0);
+  u_.fill(0.0);
+  v_.fill(0.0);
   // Wind-stress curl forcing: westerlies/trades pattern.
   for (int j = 0; j < cfg_.nlat; ++j) {
     const double lat = -90.0 + (j + 0.5) * 180.0 / cfg_.nlat;
@@ -106,7 +107,7 @@ void Mom::reset() {
     }
   }
   steps_ = 0;
-  sor_residual_ = 0;
+  sor_residual_ = diag_mean_t_ = diag_ke_ = 0;
 }
 
 namespace {
@@ -249,78 +250,98 @@ void Mom::baroclinic_step() {
   const double adv = 0.2;     // CFL-safe advection coefficient
   const simd::KernelTable& kt = simd::table();
   const auto n = static_cast<std::size_t>(nlon);
-  const std::size_t row_bytes = (n - 1) * sizeof(double);
+  const auto nk = static_cast<std::size_t>(nlev);
+  const std::size_t row_bytes = n * sizeof(double);
+  const std::size_t shift_bytes = row_bytes - sizeof(double);
   // Interior rows j = 1 .. nlat-2 are split over the lanes of the node's
-  // host pool: lane blocks cover row indices [lo, hi) = j - 1. Every loop
-  // below writes only its own rows, and each column keeps its ascending-k
-  // order, so the state is bit-identical for every lane count.
+  // host pool: lane blocks cover row indices [lo, hi) = j - 1. A lane
+  // commits each row as soon as it is computed, so the old rows its stencil
+  // reads come from copies: row j-1 from the one the lane saved before
+  // committing it, and at its block edges from halo rows copied before any
+  // lane commits. Each row reads only old values and each column keeps its
+  // ascending-k order, so the state is bit-identical for every lane count.
   ThreadPool* pool = node_->host_pool();
-  lane_rows_.fit(pool);
+  fit_lanes(pool);
   const int rows = nlat - 2;
-
-  for (auto* field : {&temp_, &salt_}) {
-    auto& f = *field;
-    // The stencil reads the j +- 1 rows of f, so every lane finishes it
-    // before any lane commits.
-    parallel_blocks(pool, rows, [&](int lane, int lo, int hi) {
-      Arena& arena = lane_rows_[lane];
-      ArenaScope frame(arena);
-      double* sip = arena.take<double>(n).data();
-      double* sim = arena.take<double>(n).data();
-      double* aip = arena.take<double>(n).data();
-      double* aim = arena.take<double>(n).data();
-      double* ajp = arena.take<double>(n).data();
-      double* ajm = arena.take<double>(n).data();
-      double* uu = arena.take<double>(n).data();
-      double* vv = arena.take<double>(n).data();
-      for (int k = 0; k < nlev; ++k) {
-        const double depth_damp = std::exp(-2.0 * k / nlev);
-        const std::size_t kk = static_cast<std::size_t>(k);
-        for (int j = lo + 1; j < hi + 1; ++j) {
-          const std::size_t jj = static_cast<std::size_t>(j);
-          const double* fc = &f(0, jj, kk);
-          // Periodic i-shifts of the row, then coastline no-flux selects:
-          // a land neighbour contributes the centre value instead.
-          std::memcpy(sip, fc + 1, row_bytes);
-          sip[n - 1] = fc[0];
-          sim[0] = fc[n - 1];
-          std::memcpy(sim + 1, fc, row_bytes);
-          kt.select_d(&mask_ip_(0, jj), sip, fc, aip, nlon);
-          kt.select_d(&mask_im_(0, jj), sim, fc, aim, nlon);
-          kt.select_d(&mask_jp_(0, jj), &f(0, jj + 1, kk), fc, ajp, nlon);
-          kt.select_d(&mask_jm_(0, jj), &f(0, jj - 1, kk), fc, ajm, nlon);
-          kt.scale_d(&u_(0, jj), depth_damp, uu, nlon);
-          kt.scale_d(&v_(0, jj), depth_damp, vv, nlon);
-          double* srow = &scratch_(0, jj, kk);
-          kt.mom_stencil_d(fc, aip, aim, ajp, ajm, uu, vv, adv, kappa, srow,
-                           nlon);
-          kt.select_d(&mask_c_(0, jj), srow, zeros_.data(), srow, nlon);
+  Array3D<double>* const fields[2] = {&temp_, &salt_};
+  const auto row = [&](int fld, int j, std::size_t k) {
+    return &(*fields[fld])(0, static_cast<std::size_t>(j), k);
+  };
+  // Halo row of field `fld` at level k on boundary b, between lanes b-1 and
+  // b: side 0 is lane b-1's last row, side 1 lane b's first.
+  const auto halo = [&](int b, int side, int fld, std::size_t k) {
+    const auto at = (static_cast<std::size_t>(b - 1) * 2 + side) * 2 + fld;
+    return halo_.data() + (at * nk + k) * n;
+  };
+  // Before any lane commits, each copies the old rows its neighbours read:
+  // its first and last row of T and S at every level.
+  parallel_blocks(pool, rows, [&](int lane, int lo, int hi) {
+    for (int fld = 0; fld < 2; ++fld) {
+      for (std::size_t k = 0; k < nk; ++k) {
+        if (lo > 0) {
+          std::memcpy(halo(lane, 1, fld, k), row(fld, lo + 1, k), row_bytes);
+        }
+        if (hi < rows) {
+          std::memcpy(halo(lane + 1, 0, fld, k), row(fld, hi, k), row_bytes);
         }
       }
-    });
-    parallel_blocks(pool, rows, [&](int, int lo, int hi) {
-      for (int k = 0; k < nlev; ++k) {
-        const std::size_t kk = static_cast<std::size_t>(k);
-        for (int j = lo + 1; j < hi + 1; ++j) {
-          const std::size_t jj = static_cast<std::size_t>(j);
-          kt.select_d(&mask_c_(0, jj), &scratch_(0, jj, kk), &f(0, jj, kk),
-                      &f(0, jj, kk), nlon);
-        }
-      }
-    });
-  }
-  // Convective adjustment on temperature columns (the unvectorised column
-  // loop): mix statically unstable neighbours (deeper water must not be
-  // warmer). Columns are independent and each column still sees its
-  // k-cascade in ascending order, so running the level pair across whole
-  // rows reorders nothing; land columns are identically zero, so the
-  // lower > upper test never fires there.
-  parallel_blocks(pool, rows, [&](int, int lo, int hi) {
-    for (int k = 0; k + 1 < nlev; ++k) {
+    }
+  });
+  parallel_blocks(pool, rows, [&](int lane, int lo, int hi) {
+    Arena& arena = lane_rows_[lane];
+    ArenaScope frame(arena);
+    double* sip = arena.take<double>(n).data();
+    double* sim = arena.take<double>(n).data();
+    double* aip = arena.take<double>(n).data();
+    double* aim = arena.take<double>(n).data();
+    double* ajp = arena.take<double>(n).data();
+    double* ajm = arena.take<double>(n).data();
+    double* uu = arena.take<double>(n).data();
+    double* vv = arena.take<double>(n).data();
+    double* const saved[2][2] = {
+        {arena.take<double>(n).data(), arena.take<double>(n).data()},
+        {arena.take<double>(n).data(), arena.take<double>(n).data()}};
+    for (int k = 0; k < nlev; ++k) {
+      const double depth_damp = std::exp(-2.0 * k / nlev);
       const std::size_t kk = static_cast<std::size_t>(k);
+      // Old row j-1 of each field: boundary row 0 (never written) or the
+      // halo, then the copy this lane saved before committing it.
+      const double* below[2] = {
+          lo == 0 ? row(0, 0, kk) : halo(lane, 0, 0, kk),
+          lo == 0 ? row(1, 0, kk) : halo(lane, 0, 1, kk)};
       for (int j = lo + 1; j < hi + 1; ++j) {
         const std::size_t jj = static_cast<std::size_t>(j);
-        kt.mix_unstable_d(&temp_(0, jj, kk), &temp_(0, jj, kk + 1), nlon);
+        kt.scale_d(&u_(0, jj), depth_damp, uu, nlon);
+        kt.scale_d(&v_(0, jj), depth_damp, vv, nlon);
+        for (int fld = 0; fld < 2; ++fld) {
+          double* fc = row(fld, j, kk);
+          const double* above = j < hi || hi == rows
+                                     ? row(fld, j + 1, kk)
+                                     : halo(lane + 1, 1, fld, kk);
+          // Periodic i-shifts of the row, then coastline no-flux selects:
+          // a land neighbour contributes the centre value instead.
+          std::memcpy(sip, fc + 1, shift_bytes);
+          sip[n - 1] = fc[0];
+          sim[0] = fc[n - 1];
+          std::memcpy(sim + 1, fc, shift_bytes);
+          kt.select_d(&mask_ip_(0, jj), sip, fc, aip, nlon);
+          kt.select_d(&mask_im_(0, jj), sim, fc, aim, nlon);
+          kt.select_d(&mask_jp_(0, jj), above, fc, ajp, nlon);
+          kt.select_d(&mask_jm_(0, jj), below[fld], fc, ajm, nlon);
+          kt.mom_stencil_d(fc, aip, aim, ajp, ajm, uu, vv, adv, kappa, sip,
+                           nlon);
+          double* old = saved[fld][j & 1];  // `below` is the other buffer
+          if (j < hi) std::memcpy(old, fc, row_bytes);
+          kt.select_d(&mask_c_(0, jj), sip, fc, fc, nlon);
+          below[fld] = old;
+          // Convective adjustment of the temperature column (the
+          // unvectorised column loop): mix statically unstable neighbours
+          // (deeper water must not be warmer). No stencil reads this row's
+          // new values, and each column still runs its level pairs in
+          // ascending k; land columns are identically zero, so the
+          // lower > upper test never fires there.
+          if (fld == 0 && k > 0) kt.mix_unstable_d(row(0, j, kk - 1), fc, nlon);
+        }
       }
     }
   });

@@ -125,20 +125,25 @@ private:
   void solve_barotropic();
   void baroclinic_step();
   void compute_diagnostics();
+  /// Lane workspace and halo rows for the lanes of `pool`; allocates only
+  /// when the pool is wider than any before it.
+  void fit_lanes(const ThreadPool* pool);
 
   MomConfig cfg_;
   sxs::Node* node_;
   LandMask mask_;
   Array3D<double> temp_, salt_;
   Array2D<double> psi_, forcing_, u_, v_;
-  Array3D<double> scratch_;
-  // Precomputed 0/1 neighbour masks (centre, i+1, i-1, j+1, j-1) and,
-  // per lane of the node's host pool, eight rows of workspace for the
-  // vectorised baroclinic stencil — sized in the constructor so
-  // baroclinic_step allocates only if the node's pool grows.
+  // Precomputed 0/1 neighbour masks (centre, i+1, i-1, j+1, j-1); per lane
+  // of the node's host pool, twelve rows of workspace for the vectorised
+  // baroclinic stencil (eight operand rows, and two buffers per field for
+  // the old row j-1); and the halo rows: at each boundary between two
+  // lanes, the old first and last rows the lanes on either side read, for
+  // T and S at every level. Sized in the constructor, so baroclinic_step
+  // allocates only if the node's pool grows.
   Array2D<double> mask_c_, mask_ip_, mask_im_, mask_jp_, mask_jm_;
   LaneArenas lane_rows_;
-  std::vector<double> zeros_;
+  std::vector<double> halo_;
   double sor_residual_ = 0;
   double diag_mean_t_ = 0, diag_ke_ = 0;
   long steps_ = 0;

@@ -1,7 +1,8 @@
 // The hot paths allocate nothing: after one warm-up call, the model time
 // steps, the charge paths, the cache simulator and the arena FFTs make no
 // heap allocation on any thread, with the numerics inline (null pool) and
-// on pools of 1, 2 and 4 host threads.
+// on pools of 1, 2 and 4 host threads. A MOM model whose node moves to a
+// wider pool allocates on its first step there and never after.
 //
 // This binary replaces the global operator new/delete with an atomic
 // counter, so it must stay its own executable. The counter sees every
@@ -113,6 +114,20 @@ TEST_P(HotAlloc, Ccm2ChargeStep) {
 TEST_P(HotAlloc, MomStep) {
   ocean::Mom mom(ocean::MomConfig::low_resolution(), node);
   EXPECT_EQ(allocations_after_warm_up([&] { mom.step(4); }), 0);
+  if (GetParam() != 2) return;
+  // Moved to a wider pool, the model grows its lane workspace and halo
+  // rows on the first step and allocates nothing after that.
+  ThreadPool wider(4);
+  node.set_thread_pool(&wider);
+  const auto step_allocations = [&] {
+    const long before = g_allocations.load();
+    mom.step(4);
+    return g_allocations.load() - before;
+  };
+  EXPECT_GT(step_allocations(), 0);
+  EXPECT_EQ(step_allocations(), 0);
+  EXPECT_EQ(step_allocations(), 0);
+  node.set_thread_pool(pool.get());
 }
 
 TEST_P(HotAlloc, MomChargeStep) {

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -126,12 +127,20 @@ TEST_F(MomTest, ChargeReplayBitIdenticalToFullStep) {
   }
 }
 
+// Reset returns the whole state, velocities included, to the one a freshly
+// built model starts from.
 TEST_F(MomTest, ResetRestoresState) {
   ocean::Mom mom(ocean::MomConfig::low_resolution(), node);
-  const double c0 = mom.checksum();
   for (int s = 0; s < 3; ++s) mom.step(1);
+  ASSERT_GT(mom.barotropic_ke(), 0.0);
   mom.reset();
-  EXPECT_DOUBLE_EQ(mom.checksum(), c0);
+  const std::vector<double> got = mom.checkpoint();
+  const std::vector<double> fresh =
+      ocean::Mom(ocean::MomConfig::low_resolution(), node).checkpoint();
+  ASSERT_EQ(got.size(), fresh.size());
+  EXPECT_EQ(std::memcmp(got.data(), fresh.data(), got.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(mom.barotropic_ke(), 0.0);
 }
 
 // The full model state after three steps, pinned bit for bit: FNV-1a over
@@ -292,7 +301,10 @@ TEST_F(MomTest, InvalidArgsThrow) {
 // same as the serial point-by-point loop it replaced (hashes recorded
 // there). The low-resolution model runs every width; the high-resolution
 // one, 46 MB of T and S, only inline and on four lanes.
-std::vector<double> initial_state(const ocean::MomConfig& cfg, int threads) {
+/// The checkpoint after `steps` steps of a model built on a node whose
+/// host pool has `threads` threads; 0 runs the numerics inline.
+std::vector<double> state_after(const ocean::MomConfig& cfg, int threads,
+                                int steps) {
   sxs::Node n(sxs::MachineConfig::sx4_benchmarked());
   std::unique_ptr<ThreadPool> pool;
   if (threads == 0) {
@@ -302,18 +314,20 @@ std::vector<double> initial_state(const ocean::MomConfig& cfg, int threads) {
     n.set_execution_policy(sxs::ExecutionPolicy::Threaded);
     n.set_thread_pool(pool.get());
   }
-  return ocean::Mom(cfg, n).checkpoint();
+  ocean::Mom mom(cfg, n);
+  for (int s = 0; s < steps; ++s) mom.step(4);
+  return mom.checkpoint();
 }
 
 void expect_initial_state(const ocean::MomConfig& cfg,
                           std::initializer_list<int> widths,
                           std::uint64_t hash) {
-  const std::vector<double> ref = initial_state(cfg, 0);
+  const std::vector<double> ref = state_after(cfg, 0, 0);
   const std::uint64_t h = test::fnv1a(ref);
   EXPECT_EQ(h, hash) << "hash 0x" << std::hex << h;
   for (const int threads : widths) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    const std::vector<double> state = initial_state(cfg, threads);
+    const std::vector<double> state = state_after(cfg, threads, 0);
     ASSERT_EQ(state.size(), ref.size());
     EXPECT_EQ(std::memcmp(state.data(), ref.data(),
                           state.size() * sizeof(double)),
@@ -324,6 +338,33 @@ void expect_initial_state(const ocean::MomConfig& cfg,
 TEST(MomLanes, ResetStateBitIdentical) {
   expect_initial_state(ocean::MomConfig::low_resolution(), {1, 2, 3, 4, 7},
                        0x613d44b6df895bf3ull);
+}
+
+// The baroclinic step commits each row as its lane computes it and reads
+// the neighbouring lanes' old edge rows from halo copies. Three steps give
+// the same doubles inline and at every pool width, widths that do not
+// divide the 58 interior rows included. On an 8-row grid, 7 threads make
+// six one-row lanes, so both neighbours of every row come from halos.
+TEST(MomLanes, StepBitIdenticalForEveryPoolWidth) {
+  auto narrow = ocean::MomConfig::low_resolution();
+  narrow.nlat = 8;
+  const struct {
+    ocean::MomConfig cfg;
+    std::vector<int> widths;
+  } cases[] = {{ocean::MomConfig::low_resolution(), {1, 2, 3, 4, 7}},
+               {narrow, {7}}};
+  for (const auto& c : cases) {
+    const std::vector<double> ref = state_after(c.cfg, 0, 3);
+    for (const int threads : c.widths) {
+      SCOPED_TRACE("nlat " + std::to_string(c.cfg.nlat) + ", threads " +
+                   std::to_string(threads));
+      const std::vector<double> state = state_after(c.cfg, threads, 3);
+      ASSERT_EQ(state.size(), ref.size());
+      EXPECT_EQ(std::memcmp(state.data(), ref.data(),
+                            state.size() * sizeof(double)),
+                0);
+    }
+  }
 }
 
 TEST(MomInitialState, HighResolutionHashPinned) {

@@ -86,6 +86,82 @@ TEST_P(ConfigParam, CyclesMonotoneInLength) {
   EXPECT_GT(last, 10.0 * first);
 }
 
+// --- descriptor invariants -------------------------------------------------
+// Monotonicity the memory system's mechanisms imply, over a grid of loops:
+// five lengths (startup-bound to many strips), strides 1 to 4096 on the
+// loads alone or on loads and stores, light to heavy load streams with and
+// without a gather stream, at every doubling of the bank count from 16 to
+// 4096.
+
+double op_cycles(const MachineConfig& cfg, const sxs::VectorOp& op) {
+  const sxs::MemoryModel mem(cfg);
+  return sxs::VectorUnit(cfg, mem).costs(op).cycles.value();
+}
+
+/// Calls `holds(cfg, op)` for every descriptor of the grid on `base` at
+/// every bank count, and fails naming the first descriptor it rejects and
+/// the number rejected.
+template <class Pred>
+void expect_on_descriptor_grid(MachineConfig base, Pred holds) {
+  long checked = 0, failed = 0;
+  for (int banks = 16; banks <= 4096; banks *= 2) {
+    base.memory_banks = banks;
+    for (const long n : {1L, 100L, 256L, 1000L, 100000L}) {
+      for (const long stride : {1L, 2L, 3L, 4L, 7L, 8L, 16L, 17L, 64L, 100L,
+                                128L, 255L, 256L, 1024L, 4096L}) {
+        for (const bool store_strided : {false, true}) {
+          for (const double loads : {1.0, 2.0, 5.0}) {
+            for (const double gathers : {0.0, 1.0}) {
+              for (const double flops : {1.0, 8.0}) {
+                sxs::VectorOp op;
+                op.n = n;
+                op.flops_per_elem = flops;
+                op.load_words = loads;
+                op.store_words = 1.0;
+                op.gather_words = gathers;
+                op.load_stride = stride;
+                op.store_stride = store_strided ? stride : 1;
+                ++checked;
+                if (holds(base, op) || failed++ > 0) continue;
+                ADD_FAILURE() << "banks " << banks << ", n " << n
+                              << ", stride " << stride << " (stores "
+                              << op.store_stride << "), loads " << loads
+                              << ", gathers " << gathers << ", flops "
+                              << flops;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(failed, 0) << "of " << checked << " descriptors";
+}
+
+TEST_P(ConfigParam, DoublingBanksNeverSlowsAnOp) {
+  expect_on_descriptor_grid(cfg, [](MachineConfig c, const sxs::VectorOp& op) {
+    const double before = op_cycles(c, op);
+    c.memory_banks *= 2;
+    return op_cycles(c, op) <= before;
+  });
+}
+
+TEST_P(ConfigParam, UnitStrideNeverSlowerThanStrided) {
+  expect_on_descriptor_grid(cfg, [](const MachineConfig& c, sxs::VectorOp op) {
+    const double strided = op_cycles(c, op);
+    op.load_stride = op.store_stride = 1;
+    return op_cycles(c, op) <= strided;
+  });
+}
+
+TEST_P(ConfigParam, AddedGatherWordNeverCheaper) {
+  expect_on_descriptor_grid(cfg, [](const MachineConfig& c, sxs::VectorOp op) {
+    const double before = op_cycles(c, op);
+    op.gather_words += 1.0;
+    return op_cycles(c, op) >= before;
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(VectorMachines, ConfigParam,
                          ::testing::Values(0, 1, 2, 3));
 
