@@ -16,18 +16,9 @@
 // capacity/exploration bench pinned by its own smoke + determinism tests
 // (the committed baseline set stays at exactly the 16 paper benches).
 //
-// Knobs (environment):
-//   SX4NCAR_SWEEP_KERNEL  radabs | hint | vfft        (default radabs)
-//   SX4NCAR_SWEEP_BASE    catalog machine to sweep    (default NEC SX-4/1)
-//   SX4NCAR_SWEEP_PIPES   comma list of pipe counts   (default 1,2,4,8,16,32)
-//   SX4NCAR_SWEEP_VL      comma list of vector lengths(default 32,...,512)
-//   SX4NCAR_SWEEP_PORT    comma list of port widths   (default 16,...,256)
-//   SX4NCAR_SWEEP_BANKS   comma list of bank counts   (default 256,...,2048)
-//   SX4NCAR_SWEEP_CLOCKS  comma list of clock periods (default 9.2,8)
-//   SX4NCAR_SWEEP_REPORT  report path (default <results>/design_sweep.report.json)
-//
-// The lists take numbers above 0. A malformed knob stops the run with
-// exit 2 and a message naming it (harness/knobs.hpp).
+// Knobs: the SX4NCAR_SWEEP_* rows of the knob table (common/knobs.hpp),
+// where each one's values and default are documented. A malformed knob
+// stops the run with exit 2 and a message naming it.
 
 #include <cctype>
 #include <chrono>
@@ -37,8 +28,8 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
 #include "common/table.hpp"
-#include "harness/knobs.hpp"
 #include "harness/reporter.hpp"
 #include "harness/sweep_report.hpp"
 #include "machines/description.hpp"
@@ -60,24 +51,24 @@ struct SweepKnobs {
 };
 
 SweepKnobs read_sweep_knobs(const std::string& default_report) {
-  using ncar::bench::knob_positive_list;
+  const ncar::knobs::Settings& env = ncar::knobs::process();
   SweepKnobs k;
-  k.kernel = ncar::bench::knob_choice("SX4NCAR_SWEEP_KERNEL", "radabs",
-                                      ncar::machines::probe_kernels());
-  k.base = ncar::bench::knob_choice("SX4NCAR_SWEEP_BASE", "NEC SX-4/1",
-                                    ncar::machines::builtin_names());
+  k.kernel = env.choice("SX4NCAR_SWEEP_KERNEL", "radabs",
+                        ncar::machines::probe_kernels());
+  k.base = env.choice("SX4NCAR_SWEEP_BASE", "NEC SX-4/1",
+                      ncar::machines::builtin_names());
   k.axes = {
       {"pipes_per_group",
-       knob_positive_list("SX4NCAR_SWEEP_PIPES", {1, 2, 4, 8, 16, 32})},
+       env.positive_list("SX4NCAR_SWEEP_PIPES", {1, 2, 4, 8, 16, 32})},
       {"vector_length",
-       knob_positive_list("SX4NCAR_SWEEP_VL", {32, 64, 128, 256, 512})},
+       env.positive_list("SX4NCAR_SWEEP_VL", {32, 64, 128, 256, 512})},
       {"port_bytes_per_clock",
-       knob_positive_list("SX4NCAR_SWEEP_PORT", {16, 32, 64, 128, 256})},
+       env.positive_list("SX4NCAR_SWEEP_PORT", {16, 32, 64, 128, 256})},
       {"memory_banks",
-       knob_positive_list("SX4NCAR_SWEEP_BANKS", {256, 512, 1024, 2048})},
-      {"clock_ns", knob_positive_list("SX4NCAR_SWEEP_CLOCKS", {9.2, 8})},
+       env.positive_list("SX4NCAR_SWEEP_BANKS", {256, 512, 1024, 2048})},
+      {"clock_ns", env.positive_list("SX4NCAR_SWEEP_CLOCKS", {9.2, 8})},
   };
-  k.report = ncar::bench::knob_string("SX4NCAR_SWEEP_REPORT", default_report);
+  k.report = env.string("SX4NCAR_SWEEP_REPORT", default_report);
   return k;
 }
 

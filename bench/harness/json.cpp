@@ -2,11 +2,11 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+
+#include "common/units.hpp"
 
 namespace ncar::bench {
 
@@ -79,47 +79,12 @@ bool Json::operator==(const Json& other) const {
 }
 
 std::string Json::number_to_string(double v) {
-  if (!std::isfinite(v)) {
-    // JSON has no Inf/NaN; the harness never produces them, but render
-    // something parseable rather than corrupting the document.
-    return "null";
-  }
-  // Integral values within the exactly-representable range print as
-  // integers (metric counts, CPU numbers, exit codes).
-  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
-  char buf[64];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  if (ec != std::errc()) throw std::runtime_error("json: number format");
-  return std::string(buf, ptr);
+  // JSON has no Inf/NaN; the harness never produces them, but render
+  // something parseable rather than corrupting the document.
+  return std::isfinite(v) ? format_round_trip(v) : "null";
 }
 
 namespace {
-
-void escape_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 void newline_indent(std::string& out, int indent, int depth) {
   if (indent <= 0) return;
@@ -134,7 +99,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
     case Kind::Null: out += "null"; return;
     case Kind::Bool: out += bool_ ? "true" : "false"; return;
     case Kind::Number: out += number_to_string(num_); return;
-    case Kind::String: escape_string(out, str_); return;
+    case Kind::String: out += json_quoted(str_); return;
     case Kind::Array: {
       if (arr_.empty()) {
         out += "[]";
@@ -159,7 +124,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       for (std::size_t i = 0; i < obj_.size(); ++i) {
         if (i) out += indent > 0 ? "," : ", ";
         newline_indent(out, indent, depth + 1);
-        escape_string(out, obj_[i].first);
+        out += json_quoted(obj_[i].first);
         out += ": ";
         obj_[i].second.dump_to(out, indent, depth + 1);
       }

@@ -100,8 +100,8 @@ public:
   /// JSON file the bench harness emits goes through here.
   void save(const std::string& path) const;
 
-  /// Shortest round-trip rendering of a double (integral values render
-  /// without a decimal point). Exposed for tests.
+  /// format_round_trip (common/units.hpp), with null for non-finite
+  /// values. Exposed for tests.
   static std::string number_to_string(double v);
 
 private:

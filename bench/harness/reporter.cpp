@@ -7,10 +7,8 @@
 #include <iostream>
 #include <ostream>
 
-#include <unistd.h>
-
 #include "common/error.hpp"
-#include "harness/knobs.hpp"
+#include "common/knobs.hpp"
 #include "sxs/execution_policy.hpp"
 #include "trace/category.hpp"
 
@@ -34,11 +32,6 @@ namespace {
 
 BenchReporter::BenchReporter(std::string name, int argc, char** argv)
     : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {
-  // Set *and non-empty* selects the full sweep; `SX4NCAR_BENCH_FULL=` forces
-  // the quick mode (CTest uses this so runs match the committed baselines).
-  full_mode_ = !knob_string("SX4NCAR_BENCH_FULL", "").empty();
-  results_dir_ = knob_string("SX4NCAR_BENCH_RESULTS_DIR", "bench/results");
-
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
@@ -60,11 +53,16 @@ BenchReporter::BenchReporter(std::string name, int argc, char** argv)
     }
   }
 
-  // The knob parsers are strict: an SX4NCAR_* name no code reads, or a
+  // The knob table is strict: an SX4NCAR_* name it does not declare, or a
   // malformed SX4NCAR_HOST_THREADS, SX4NCAR_SIMD or SX4NCAR_TRACE, stops
   // the run here, naming the knob.
   try {
-    reject_unknown_knobs(environ);
+    const knobs::Settings& env = knobs::process();
+    // Set *and non-empty* selects the full sweep; `SX4NCAR_BENCH_FULL=`
+    // forces the quick mode (CTest uses this so runs match the committed
+    // baselines).
+    full_mode_ = !env.string("SX4NCAR_BENCH_FULL", "").empty();
+    results_dir_ = env.string("SX4NCAR_BENCH_RESULTS_DIR", "bench/results");
     host_execution_ = sxs::host_execution_summary();
     (void)trace::mode();
   } catch (const config_error& e) {

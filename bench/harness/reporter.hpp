@@ -46,7 +46,7 @@ public:
   /// "host execution: ..." banner followed by a blank line.
   BenchReporter(std::string name, int argc, char** argv);
 
-  /// Runs `read`, a bench main's parse of its own knobs (harness/knobs.hpp),
+  /// Runs `read`, a bench main's read of its own knobs (common/knobs.hpp),
   /// and returns its result. A config_error stops the run as a malformed
   /// library knob does in the constructor: "<bench>: <message>", exit 2.
   template <typename Read>

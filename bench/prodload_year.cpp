@@ -17,11 +17,9 @@
 // host-dependent output is the events/sec throughput of the kernel
 // itself, reported as a host metric (omitted under --deterministic).
 //
-// Knobs (environment):
-//   SX4NCAR_YEAR_DAYS  simulated horizon in days, above 0 (default 365)
-//   SX4NCAR_YEAR_SEED  RNG registry seed, a decimal integer; 0 or unset
-//                      keeps the kernel's default
-// A malformed knob stops the run with exit 2 naming it (harness/knobs.hpp).
+// Knobs: SX4NCAR_YEAR_DAYS and SX4NCAR_YEAR_SEED, documented in the knob
+// table (common/knobs.hpp). A malformed knob stops the run with exit 2
+// naming it.
 
 #include <chrono>
 #include <cstdio>
@@ -30,11 +28,11 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/knobs.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "des/simulation.hpp"
 #include "des/workload.hpp"
-#include "harness/knobs.hpp"
 #include "harness/reporter.hpp"
 #include "prodload/node_lp.hpp"
 #include "prodload/queue_complex.hpp"
@@ -73,8 +71,9 @@ int main(int argc, char** argv) {
   const auto machine = sxs::MachineConfig::sx4_benchmarked();
 
   const auto [days, seed] = rep.read_knobs([] {
-    return std::pair{bench::knob_positive("SX4NCAR_YEAR_DAYS", 365.0),
-                     bench::knob_uint64("SX4NCAR_YEAR_SEED", 0)};
+    const knobs::Settings& env = knobs::process();
+    return std::pair{env.positive("SX4NCAR_YEAR_DAYS", 365.0),
+                     env.uint64("SX4NCAR_YEAR_SEED", 0)};
   });
   const Seconds horizon(days * 86400.0);
 

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
+#include <exception>
 #include <limits>
-#include <string>
 
-#include "common/error.hpp"
+#include "common/knobs.hpp"
 
 namespace ncar {
 
@@ -118,25 +115,13 @@ void ThreadPool::parallel_for(int n, FunctionRef<void(int)> fn) {
   if (b.error) std::rethrow_exception(b.error);
 }
 
-int ThreadPool::threads_from_env(const char* value) {
-  if (value == nullptr || *value == '\0') {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
-  }
-  const char* const last = value + std::strlen(value);
-  int n = -1;
-  const auto [end, ec] = std::from_chars(value, last, n);
-  if (ec != std::errc() || end != last || n < 0 || n > 1024) {
-    throw config_error(std::string("SX4NCAR_HOST_THREADS=") + value +
-                       " is invalid: expected a decimal integer 0..1024 "
-                       "(0 and 1 run inline), or unset/empty for the "
-                       "hardware thread count");
-  }
-  return std::max(n, 1);
-}
-
 int ThreadPool::configured_host_threads() {
-  return threads_from_env(std::getenv("SX4NCAR_HOST_THREADS"));
+  static const int threads = std::max(
+      knobs::process().int_range(
+          "SX4NCAR_HOST_THREADS",
+          static_cast<int>(std::thread::hardware_concurrency())),
+      1);
+  return threads;
 }
 
 ThreadPool& ThreadPool::global() {

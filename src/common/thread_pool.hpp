@@ -49,15 +49,10 @@ public:
   /// threads on first use.
   static ThreadPool& global();
 
-  /// Host thread count from SX4NCAR_HOST_THREADS (see threads_from_env).
+  /// Host thread count from SX4NCAR_HOST_THREADS (common/knobs.hpp),
+  /// parsed once on first use: unset or empty is
+  /// std::thread::hardware_concurrency(), 0 and 1 are 1 (inline).
   static int configured_host_threads();
-
-  /// The only parser of SX4NCAR_HOST_THREADS: `value` is the raw
-  /// environment string, or nullptr when the variable is unset. Unset or
-  /// empty means std::thread::hardware_concurrency(); a decimal integer
-  /// 0..1024 is that many threads, 0 meaning 1 (inline). Anything else
-  /// throws ncar::config_error naming the variable and its accepted values.
-  static int threads_from_env(const char* value);
 
 private:
   struct Batch;

@@ -1,5 +1,6 @@
 #include "common/units.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -32,6 +33,41 @@ std::string format_fixed(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", digits, value);
   return buf;
+}
+
+std::string format_round_trip(double v) {
+  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+    return buf;
+  }
+  char buf[64];  // the shortest form of any double needs at most 24
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
+}
+
+std::string json_quoted(std::string_view s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
 }
 
 }  // namespace ncar

@@ -1,10 +1,12 @@
 #pragma once
-// Unit conversions and human-readable formatting of rates and durations.
+// Unit conversions and text formatting: rates, durations, numbers and
+// JSON strings.
 //
 // The paper reports results in MB/s, Mflops, Gflops, Mcalls/s, and
 // minutes:seconds; these helpers keep the bench output in the same units.
 
 #include <string>
+#include <string_view>
 
 #include "common/quantity.hpp"
 
@@ -34,5 +36,15 @@ inline std::string format_duration(Seconds s) {
 
 /// Format a double with `digits` significant decimals, fixed notation.
 std::string format_fixed(double value, int digits);
+
+/// Text that parses back to exactly `v`: integral values below 2^53
+/// without a decimal point, everything else in std::to_chars' shortest
+/// form. Callers render non-finite values their own way first (the
+/// machine tables print "inf", bench JSON writes null).
+std::string format_round_trip(double v);
+
+/// `s` as a JSON string literal: quoted, with '"', '\\' and control
+/// characters escaped.
+std::string json_quoted(std::string_view s);
 
 }  // namespace ncar

@@ -1,13 +1,11 @@
 #include "machines/description.hpp"
 
 #include <cerrno>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <system_error>
 
 #include "common/error.hpp"
+#include "common/units.hpp"
 
 namespace ncar::machines {
 
@@ -191,20 +189,7 @@ double parse_number(const std::string& context, std::string_view token) {
 const std::vector<KeyInfo>& description_schema() { return schema(); }
 
 std::string format_number(double v) {
-  // Mirrors the bench harness writer (bench/harness/json.cpp): integral
-  // values print without a decimal point, everything else via std::to_chars
-  // for shortest round-trip form, so parse(to_table()) reproduces the exact
-  // double.
-  if (!std::isfinite(v)) return "inf";
-  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
-  char buf[64];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  if (ec != std::errc()) fail("description: number format failure");
-  return std::string(buf, ptr);
+  return std::isfinite(v) ? format_round_trip(v) : "inf";
 }
 
 bool known_key(std::string_view key) { return schema_index(key) >= 0; }

@@ -51,10 +51,9 @@ struct KeyInfo {
 /// (vector_unit, libm_call_overhead_cycles, vector_libm_multiplier).
 const std::vector<KeyInfo>& description_schema();
 
-/// Shortest round-trip rendering of a value: integral values without a
-/// decimal point, everything else via std::to_chars so parsing reproduces
-/// the exact double. Used by to_table(), validation messages and the
-/// design_sweep and design_space tables.
+/// format_round_trip (common/units.hpp), so parsing reproduces the exact
+/// double, with "inf" for non-finite values. Used by to_table(),
+/// validation messages and the design_sweep and design_space tables.
 std::string format_number(double v);
 
 /// True when `key` names a schema entry.

@@ -1,11 +1,9 @@
 // Runtime backend selection: CPUID probe + SX4NCAR_SIMD override.
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "common/error.hpp"
+#include "common/knobs.hpp"
 #include "simd/simd.hpp"
 
 namespace ncar::simd {
@@ -50,8 +48,14 @@ const KernelTable* compiled_table(Backend b) {
 }
 
 std::atomic<Backend>& active_storage() {
-  static std::atomic<Backend> backend{backend_from_env(
-      std::getenv("SX4NCAR_SIMD"))};
+  static std::atomic<Backend> backend{[] {
+    const std::string name = knobs::process().choice("SX4NCAR_SIMD", "auto");
+    for (int i = 0; i < kBackendCount; ++i) {
+      const auto b = static_cast<Backend>(i);
+      if (name == to_string(b)) return supported(b) ? b : best_supported();
+    }
+    return best_supported();
+  }()};
   return backend;
 }
 
@@ -71,26 +75,6 @@ const char* to_string(Backend b) {
   return "scalar";
 }
 
-bool backend_from_string(const char* name, Backend& out, bool& is_auto) {
-  is_auto = false;
-  if (name == nullptr) return false;
-  if (std::strcmp(name, "scalar") == 0) {
-    out = Backend::Scalar;
-  } else if (std::strcmp(name, "sse42") == 0) {
-    out = Backend::Sse42;
-  } else if (std::strcmp(name, "avx2") == 0) {
-    out = Backend::Avx2;
-  } else if (std::strcmp(name, "avx512") == 0) {
-    out = Backend::Avx512;
-  } else if (std::strcmp(name, "auto") == 0) {
-    is_auto = true;
-    out = best_supported();
-  } else {
-    return false;
-  }
-  return true;
-}
-
 bool supported(Backend b) {
   return cpu_supports(b) && compiled_table(b) != nullptr;
 }
@@ -100,18 +84,6 @@ Backend best_supported() {
     if (supported(b)) return b;
   }
   return Backend::Scalar;
-}
-
-Backend backend_from_env(const char* value) {
-  if (value == nullptr || *value == '\0') return best_supported();
-  Backend parsed = Backend::Scalar;
-  bool is_auto = false;
-  if (!backend_from_string(value, parsed, is_auto)) {
-    throw config_error(std::string("SX4NCAR_SIMD=") + value +
-                       " is invalid: expected scalar, sse42, avx2, avx512 "
-                       "or auto (unset/empty means auto)");
-  }
-  return supported(parsed) ? parsed : best_supported();
 }
 
 Backend active() { return active_storage().load(std::memory_order_relaxed); }

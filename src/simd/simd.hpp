@@ -17,8 +17,7 @@
 // libstdc++ naive formula term by term (IEEE + and * are commutative
 // bitwise). Remainder lanes fall back to the scalar reference code.
 //
-// Selection: SX4NCAR_SIMD=scalar|sse42|avx2|avx512|auto (unset/empty = auto
-// = best supported; any other value is a config_error). Forcing a backend
+// Selection: SX4NCAR_SIMD (common/knobs.hpp) or set_backend(). A backend
 // the CPU cannot run falls back to the best supported one; supported() lets
 // callers (tests, CI probes) check first.
 
@@ -113,10 +112,6 @@ struct KernelTable {
 /// Stable lowercase name ("scalar", "sse42", "avx2", "avx512").
 const char* to_string(Backend b);
 
-/// Parse a backend name; "auto" sets `is_auto` and returns best_supported().
-/// Returns false for unknown names (callers treat that as auto).
-bool backend_from_string(const char* name, Backend& out, bool& is_auto);
-
 /// True when this host can execute `b` (Scalar is always true; on non-x86
 /// builds everything else is false).
 bool supported(Backend b);
@@ -124,8 +119,10 @@ bool supported(Backend b);
 /// The most capable supported backend.
 Backend best_supported();
 
-/// The active backend (initialised from SX4NCAR_SIMD on first use; throws
-/// ncar::config_error, again on every call, while the value is malformed).
+/// The active backend, initialised on first use from SX4NCAR_SIMD
+/// (common/knobs.hpp): unset, empty or "auto" is best_supported(), and a
+/// backend the host cannot run clamps to it. Throws ncar::config_error,
+/// again on every call, while the value is malformed.
 Backend active();
 
 /// Force a backend; unsupported requests clamp to best_supported().
@@ -138,12 +135,6 @@ const KernelTable& table();
 /// The kernel table for a specific backend (clamped to Scalar when
 /// unsupported) — the property battery compares these pairwise.
 const KernelTable& table_for(Backend b);
-
-/// The one parser of SX4NCAR_SIMD: nullptr/empty/"auto" -> best_supported,
-/// a known backend -> itself, clamped to best_supported when the host
-/// cannot run it; any other value throws ncar::config_error naming the
-/// knob and the accepted values.
-Backend backend_from_env(const char* value);
 
 // Per-ISA tables (internal wiring; null when the translation unit was built
 // without that instruction set).

@@ -20,8 +20,8 @@ enum class ExecutionPolicy {
   Threaded,
 };
 
-/// Threaded when ThreadPool::configured_host_threads() (the single parser
-/// of SX4NCAR_HOST_THREADS) is above 1, else Sequential.
+/// Threaded when ThreadPool::configured_host_threads() (SX4NCAR_HOST_THREADS,
+/// parsed once) is above 1, else Sequential.
 ExecutionPolicy default_execution_policy();
 
 const char* to_string(ExecutionPolicy p);

@@ -1,11 +1,9 @@
 #include "trace/category.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "common/error.hpp"
+#include "common/knobs.hpp"
 
 namespace ncar::trace {
 
@@ -31,35 +29,18 @@ const char* to_string(Category c) {
   return "other";
 }
 
-bool category_from_string(const char* name, Category& out) {
-  if (name == nullptr) return false;
-  for (int i = 0; i < kCategoryCount; ++i) {
-    const Category c = static_cast<Category>(i);
-    if (std::strcmp(name, to_string(c)) == 0) {
-      out = c;
-      return true;
-    }
-  }
-  return false;
-}
-
-Mode mode_from_env(const char* value) {
-  if (value == nullptr || *value == '\0') return Mode::Off;
-  for (const Mode m : {Mode::Off, Mode::Summary, Mode::Full, Mode::Stream}) {
-    if (std::strcmp(value, to_string(m)) == 0) return m;
-  }
-  throw config_error(std::string("SX4NCAR_TRACE=") + value +
-                     " is invalid: expected off, summary, full or stream "
-                     "(unset/empty means off)");
-}
-
 namespace {
 
-// Relaxed is enough: the mode is set once up front (env or a test override
-// on the main thread) and only read inside parallel regions.
+// Relaxed is enough: the mode is set once up front (the knob or a test
+// override on the main thread) and only read inside parallel regions.
 std::atomic<Mode>& mode_storage() {
-  static std::atomic<Mode> storage{
-      mode_from_env(std::getenv("SX4NCAR_TRACE"))};
+  static std::atomic<Mode> storage{[] {
+    const std::string name = knobs::process().choice("SX4NCAR_TRACE", "off");
+    for (const Mode m : {Mode::Summary, Mode::Full, Mode::Stream}) {
+      if (name == to_string(m)) return m;
+    }
+    return Mode::Off;
+  }()};
   return storage;
 }
 

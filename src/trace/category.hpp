@@ -67,9 +67,6 @@ inline constexpr int kCategoryCount = static_cast<int>(Category::Other) + 1;
 /// attribution metric names and Chrome trace "cat" fields.
 const char* to_string(Category c);
 
-/// Inverse of to_string; returns false when `name` is not a category.
-bool category_from_string(const char* name, Category& out);
-
 /// Charged categories participate in the per-CPU conservation sum; Barrier
 /// and Idle are node-runtime overheads recorded outside the Cpus.
 constexpr bool is_charged_category(Category c) {
@@ -92,14 +89,9 @@ constexpr bool spans_enabled(Mode m) {
   return m == Mode::Full || m == Mode::Stream;
 }
 
-/// The one parser of SX4NCAR_TRACE: "off" | "summary" | "full" |
-/// "stream", or unset/empty for Off. Any other value throws
-/// ncar::config_error naming the knob and the accepted values.
-Mode mode_from_env(const char* value);
-
-/// Process-wide tracing mode: initialised from SX4NCAR_TRACE on first use
-/// (throws ncar::config_error, again on every call, while the value is
-/// malformed).
+/// Process-wide tracing mode: initialised from SX4NCAR_TRACE
+/// (common/knobs.hpp; unset or empty is Off) on first use. Throws
+/// ncar::config_error, again on every call, while the value is malformed.
 Mode mode();
 
 /// Override the process-wide mode (tests and bench mains).

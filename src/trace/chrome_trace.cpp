@@ -2,10 +2,10 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <string_view>
 
+#include "common/units.hpp"
 #include "trace/category.hpp"
 
 namespace ncar::trace {
@@ -19,36 +19,13 @@ std::string format_double(double v) {
 
 namespace {
 
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-  os << '"';
-}
-
 void write_metadata(std::ostream& os, const char* kind, int pid, int tid,
                     std::string_view name, bool& first) {
   if (!first) os << ",\n";
   first = false;
   os << R"({"name":")" << kind << R"(","ph":"M","pid":)" << pid
      << R"(,"tid":)" << tid << R"(,"args":{"name":)";
-  write_escaped(os, name);
+  os << json_quoted(name);
   os << "}}";
 }
 
@@ -81,7 +58,7 @@ void write_chrome_trace(std::ostream& os, const stream::SxtFile& file) {
       if (!first) os << ",\n";
       first = false;
       os << R"({"name":)";
-      write_escaped(os, t.tags[r.tag]);
+      os << json_quoted(t.tags[r.tag]);
       os << R"(,"cat":")" << to_string(static_cast<Category>(r.category))
          << R"(","ph":"X","ts":)" << format_double(r.start * to_us)
          << R"(,"dur":)" << format_double(r.duration * to_us)

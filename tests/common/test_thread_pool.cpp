@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
 
 namespace {
 
@@ -138,24 +139,29 @@ TEST(ThreadPool, ExceptionWaitsForLanesStillRunning) {
 }
 
 TEST(ThreadPool, ThreadCountParsing) {
-  const auto threads_from_env = &ThreadPool::threads_from_env;
-  EXPECT_GE(threads_from_env(nullptr), 1);  // hardware width
-  EXPECT_EQ(threads_from_env(""), threads_from_env(nullptr));
-  EXPECT_EQ(threads_from_env("0"), 1);      // 0 and 1 run inline
-  EXPECT_EQ(threads_from_env("1"), 1);
-  EXPECT_EQ(threads_from_env("2"), 2);
-  EXPECT_EQ(threads_from_env("8"), 8);
-  EXPECT_EQ(threads_from_env("64"), 64);
-  EXPECT_EQ(threads_from_env("1024"), 1024);
+  // SX4NCAR_HOST_THREADS through the knob table, on strings; the pool
+  // clamps 0 to 1 (inline) and reads unset as the hardware width.
+  const auto threads = [](const std::string& value) {
+    const std::string entry = "SX4NCAR_HOST_THREADS=" + value;
+    const char* env[] = {entry.c_str(), nullptr};
+    return ncar::knobs::Settings(env).int_range("SX4NCAR_HOST_THREADS", -1);
+  };
+  EXPECT_EQ(threads(""), -1);  // the caller's fallback
+  for (const int n : {0, 1, 2, 8, 64, 1024}) {
+    EXPECT_EQ(threads(std::to_string(n)), n);
+  }
+  EXPECT_GE(ThreadPool::configured_host_threads(), 1);
   for (const char* bad : {"abc", "4x", "-3", "2000", "seq", "sequential",
                           "threaded", "nonsense", " 4", "+4"}) {
     SCOPED_TRACE(bad);
     try {
-      threads_from_env(bad);
+      threads(bad);
       ADD_FAILURE() << "accepted";
     } catch (const ncar::config_error& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find("SX4NCAR_HOST_THREADS"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("SX4NCAR_HOST_THREADS=") + bad),
+                std::string::npos)
+          << what;
       EXPECT_NE(what.find("0..1024"), std::string::npos) << what;
     }
   }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -369,6 +370,43 @@ TEST(SweepPinned, DesignSweepDefaultGridPoints) {
   expect_hash("radabs", 0x0dcf17775bb6c025ull);
   expect_hash("hint", 0xa2cb7e52d80c49d5ull);
   expect_hash("vfft", 0xf7b91508ca53a1bdull);
+}
+
+// More hardware is never slower. Over design_sweep's default grid on the
+// SX-4/1, an edge to the next value of an axis adds pipes, lengthens the
+// vectors, widens the port, adds banks or shortens the clock; across every
+// edge whose two points are both valid, each kernel's time never rises.
+TEST(SweepInvariant, MoreHardwareIsNeverSlower) {
+  const Grid grid = design_sweep_grid();
+  for (const Axis& axis : grid.axes()) {
+    const auto& v = axis.values;
+    if (axis.key == "clock_ns") {
+      EXPECT_TRUE(std::is_sorted(v.rbegin(), v.rend())) << axis.key;
+    } else {
+      EXPECT_TRUE(std::is_sorted(v.begin(), v.end())) << axis.key;
+    }
+  }
+  for (const char* kernel : {"radabs", "hint", "vfft"}) {
+    SCOPED_TRACE(kernel);
+    SweepOptions opts;
+    opts.kernel = kernel;
+    opts.policy = ExecutionPolicy::Sequential;
+    const SweepReport rep = run_sweep(grid, opts);
+    std::size_t edges = 0;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      for (std::size_t a = 0; a < grid.axes().size(); ++a) {
+        const std::size_t nb = grid.neighbor(i, a);
+        if (nb >= grid.size() || !rep.points[i].valid ||
+            !rep.points[nb].valid) {
+          continue;
+        }
+        ++edges;
+        EXPECT_LE(rep.points[nb].seconds, rep.points[i].seconds)
+            << grid.axes()[a].key << ": point " << i << " -> " << nb;
+      }
+    }
+    EXPECT_EQ(edges, 4420u);
+  }
 }
 
 TEST(SweepPinned, CatalogReplays) {

@@ -1,4 +1,5 @@
-// Backend probing, SX4NCAR_SIMD parsing, and forcing semantics.
+// Backend probing, SX4NCAR_SIMD parsing (through the knob table), and
+// forcing semantics.
 
 #include "simd/simd.hpp"
 
@@ -7,6 +8,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
 
 namespace {
 
@@ -26,42 +28,39 @@ private:
   Backend before_;
 };
 
+/// SX4NCAR_SIMD through the knob table, on strings.
+std::string parse(const std::string& value) {
+  const std::string entry = "SX4NCAR_SIMD=" + value;
+  const char* env[] = {entry.c_str(), nullptr};
+  return ncar::knobs::Settings(env).choice("SX4NCAR_SIMD", "auto");
+}
+
 TEST(SimdDispatch, NamesRoundTrip) {
   for (int i = 0; i < simd::kBackendCount; ++i) {
-    const auto b = static_cast<Backend>(i);
-    Backend back = Backend::Scalar;
-    bool is_auto = true;
-    ASSERT_TRUE(simd::backend_from_string(simd::to_string(b), back, is_auto));
-    EXPECT_EQ(back, b) << simd::to_string(b);
-    EXPECT_FALSE(is_auto);
+    const std::string name = simd::to_string(static_cast<Backend>(i));
+    EXPECT_EQ(parse(name), name);
   }
 }
 
 TEST(SimdDispatch, AutoSelectsBestSupported) {
-  Backend out = Backend::Scalar;
-  bool is_auto = false;
-  ASSERT_TRUE(simd::backend_from_string("auto", out, is_auto));
-  EXPECT_TRUE(is_auto);
-  EXPECT_EQ(out, simd::best_supported());
+  EXPECT_EQ(parse("auto"), "auto");
+  EXPECT_EQ(parse(""), "auto");  // unset/empty is auto too
+  BackendGuard guard;
+  EXPECT_EQ(simd::set_backend(simd::best_supported()), simd::best_supported());
 }
 
 TEST(SimdDispatch, UnknownNamesAreRejected) {
-  Backend out = Backend::Scalar;
-  bool is_auto = false;
-  EXPECT_FALSE(simd::backend_from_string("neon", out, is_auto));
-  EXPECT_FALSE(simd::backend_from_string("", out, is_auto));
-  EXPECT_FALSE(simd::backend_from_string(nullptr, out, is_auto));
+  EXPECT_THROW(parse("neon"), ncar::config_error);
 }
 
 TEST(SimdDispatch, EnvParseFallsBackToBestSupported) {
-  EXPECT_EQ(simd::backend_from_env(nullptr), simd::best_supported());
-  EXPECT_EQ(simd::backend_from_env(""), simd::best_supported());
-  EXPECT_EQ(simd::backend_from_env("auto"), simd::best_supported());
-  EXPECT_EQ(simd::backend_from_env("scalar"), Backend::Scalar);
-  // A known backend the host cannot run clamps instead of failing.
+  // Every backend name parses, whether or not the host can run it; a
+  // backend the host cannot run clamps instead of failing.
+  BackendGuard guard;
   for (int i = 0; i < simd::kBackendCount; ++i) {
     const auto b = static_cast<Backend>(i);
-    EXPECT_EQ(simd::backend_from_env(simd::to_string(b)),
+    EXPECT_EQ(parse(simd::to_string(b)), simd::to_string(b));
+    EXPECT_EQ(simd::set_backend(b),
               simd::supported(b) ? b : simd::best_supported())
         << simd::to_string(b);
   }
@@ -70,14 +69,14 @@ TEST(SimdDispatch, EnvParseFallsBackToBestSupported) {
 TEST(SimdDispatch, EnvParseRejectsUnknownValues) {
   for (const char* bad : {"bogus", "neon", "avx3", "AVX2", "avx2 "}) {
     try {
-      simd::backend_from_env(bad);
+      parse(bad);
       ADD_FAILURE() << "SX4NCAR_SIMD=" << bad << " was accepted";
     } catch (const ncar::config_error& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find(std::string("SX4NCAR_SIMD=") + bad),
                 std::string::npos)
           << what;
-      EXPECT_NE(what.find("scalar, sse42, avx2, avx512 or auto"),
+      EXPECT_NE(what.find("one of scalar | sse42 | avx2 | avx512 | auto"),
                 std::string::npos)
           << what;
     }

@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -15,6 +13,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "sxs/execution_policy.hpp"
@@ -292,55 +291,25 @@ TEST(HostParallel, MachineVisitsNodesInOrderOnTheCallingThread) {
 
 // --- SX4NCAR_HOST_THREADS parsing -------------------------------------------
 
-// Sets SX4NCAR_HOST_THREADS (nullptr unsets it) for one scope and restores
-// the previous value afterwards.
-class ScopedHostThreadsEnv {
-public:
-  explicit ScopedHostThreadsEnv(const char* value) {
-    if (const char* old = std::getenv(kName)) saved_ = old;
-    set(value);
-  }
-  ~ScopedHostThreadsEnv() { set(saved_ ? saved_->c_str() : nullptr); }
-  ScopedHostThreadsEnv(const ScopedHostThreadsEnv&) = delete;
-  ScopedHostThreadsEnv& operator=(const ScopedHostThreadsEnv&) = delete;
-
-private:
-  static constexpr const char* kName = "SX4NCAR_HOST_THREADS";
-  static void set(const char* value) {
-    if (value == nullptr) {
-      ::unsetenv(kName);
-    } else {
-      ::setenv(kName, value, 1);
-    }
-  }
-  std::optional<std::string> saved_;
-};
-
 TEST(ExecutionPolicyEnv, PolicyParsing) {
-  using ncar::sxs::default_execution_policy;
-  const ExecutionPolicy hardware =
-      ThreadPool::threads_from_env(nullptr) > 1 ? ExecutionPolicy::Threaded
-                                                : ExecutionPolicy::Sequential;
-  {
-    ScopedHostThreadsEnv env(nullptr);
-    EXPECT_EQ(default_execution_policy(), hardware);
+  // The default policy follows the once-parsed thread count.
+  EXPECT_EQ(ncar::sxs::default_execution_policy(),
+            ThreadPool::configured_host_threads() > 1
+                ? ExecutionPolicy::Threaded
+                : ExecutionPolicy::Sequential);
+  // Thread counts parse through the knob table; policy names are not
+  // thread counts, so it rejects them.
+  const auto threads = [](const std::string& value) {
+    const std::string entry = "SX4NCAR_HOST_THREADS=" + value;
+    const char* env[] = {entry.c_str(), nullptr};
+    return ncar::knobs::Settings(env).int_range("SX4NCAR_HOST_THREADS", -1);
+  };
+  EXPECT_EQ(threads(""), -1);
+  for (const char* n : {"0", "1", "2", "64"}) {
+    EXPECT_EQ(threads(n), std::stoi(n)) << n;
   }
-  {
-    ScopedHostThreadsEnv env("");
-    EXPECT_EQ(default_execution_policy(), hardware);
-  }
-  for (const char* seq : {"0", "1"}) {
-    ScopedHostThreadsEnv env(seq);
-    EXPECT_EQ(default_execution_policy(), ExecutionPolicy::Sequential) << seq;
-  }
-  for (const char* thr : {"2", "64"}) {
-    ScopedHostThreadsEnv env(thr);
-    EXPECT_EQ(default_execution_policy(), ExecutionPolicy::Threaded) << thr;
-  }
-  // Policy names are not thread counts: the single parser rejects them.
   for (const char* bad : {"seq", "sequential", "threaded", "garbage"}) {
-    ScopedHostThreadsEnv env(bad);
-    EXPECT_THROW(default_execution_policy(), ncar::config_error) << bad;
+    EXPECT_THROW(threads(bad), ncar::config_error) << bad;
   }
 }
 

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
 
 namespace {
 
@@ -17,13 +18,9 @@ using trace::Mode;
 TEST(Category, NamesRoundTripAndAreUnique) {
   std::set<std::string> seen;
   for (int i = 0; i < trace::kCategoryCount; ++i) {
-    const auto c = static_cast<Category>(i);
-    const char* name = trace::to_string(c);
+    const char* name = trace::to_string(static_cast<Category>(i));
     ASSERT_NE(name, nullptr);
     EXPECT_TRUE(seen.insert(name).second) << "duplicate name " << name;
-    Category back = Category::Other;
-    EXPECT_TRUE(trace::category_from_string(name, back)) << name;
-    EXPECT_EQ(back, c) << name;
   }
 }
 
@@ -34,12 +31,6 @@ TEST(Category, NamesAreSnakeCase) {
       EXPECT_TRUE((ch >= 'a' && ch <= 'z') || ch == '_') << name;
     }
   }
-}
-
-TEST(Category, FromStringRejectsUnknown) {
-  Category out = Category::Other;
-  EXPECT_FALSE(trace::category_from_string("not_a_category", out));
-  EXPECT_FALSE(trace::category_from_string("", out));
 }
 
 TEST(Category, OtherIsLastAndIsTheResidualBucket) {
@@ -57,23 +48,30 @@ TEST(Category, RuntimeCategoriesAreNotCharged) {
 }
 
 TEST(Mode, ParsesEnvValues) {
-  EXPECT_EQ(trace::mode_from_env(nullptr), Mode::Off);
-  EXPECT_EQ(trace::mode_from_env(""), Mode::Off);
-  EXPECT_EQ(trace::mode_from_env("off"), Mode::Off);
-  EXPECT_EQ(trace::mode_from_env("summary"), Mode::Summary);
-  EXPECT_EQ(trace::mode_from_env("full"), Mode::Full);
-  EXPECT_EQ(trace::mode_from_env("stream"), Mode::Stream);
+  // SX4NCAR_TRACE through the knob table, on strings: unset and empty are
+  // off, and every mode's name is accepted as itself.
+  const auto parse = [](const char* entry) {
+    const char* env[] = {entry, nullptr};
+    return knobs::Settings(env).choice("SX4NCAR_TRACE", "off");
+  };
+  EXPECT_EQ(parse("PATH=/bin"), "off");
+  EXPECT_EQ(parse("SX4NCAR_TRACE="), "off");
+  for (const Mode m : {Mode::Off, Mode::Summary, Mode::Full, Mode::Stream}) {
+    const std::string name = trace::to_string(m);
+    EXPECT_EQ(parse(("SX4NCAR_TRACE=" + name).c_str()), name);
+  }
   // Anything else is an error that names the knob and its values.
   for (const char* bad : {"bogus", "ful", "FULL", "on", " full"}) {
     try {
-      trace::mode_from_env(bad);
+      parse((std::string("SX4NCAR_TRACE=") + bad).c_str());
       ADD_FAILURE() << "SX4NCAR_TRACE=" << bad << " was accepted";
     } catch (const config_error& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find(std::string("SX4NCAR_TRACE=") + bad),
                 std::string::npos)
           << what;
-      EXPECT_NE(what.find("off, summary, full or stream"), std::string::npos)
+      EXPECT_NE(what.find("one of off | summary | full | stream"),
+                std::string::npos)
           << what;
     }
   }

@@ -60,6 +60,23 @@ bool is_call(const std::string& text, std::size_t pos,
   return i < text.size() && text[i] == '(';
 }
 
+/// A `rule` finding at every exact-token occurrence in `text` of each of
+/// `tokens` (only where it is called, when `calls_only`), reading
+/// "<token><suffix>".
+template <typename Tokens>
+void flag_tokens(std::vector<Finding>& out, const char* rule,
+                 const fs::path& file, const std::string& text,
+                 const Tokens& tokens, const std::string& suffix,
+                 bool calls_only = false) {
+  for (const std::string token : tokens) {
+    for (std::size_t pos = find_token(text, token, 0);
+         pos != std::string::npos; pos = find_token(text, token, pos + 1)) {
+      if (calls_only && !is_call(text, pos, token.size())) continue;
+      out.push_back({rule, file, line_of(text, pos), token + suffix});
+    }
+  }
+}
+
 bool in_testdata(const fs::path& p, const fs::path& scan_root) {
   // Only components *below* the scan root count: linting a repo skips its
   // fixture trees, while pointing the linter AT a fixture tree still works.
@@ -314,27 +331,13 @@ std::vector<Finding> check_nondeterminism(const fs::path& root) {
                                 "draw from a named RNG stream"});
       }
     }
-    for (const char* ident : kBannedIdents) {
-      for (std::size_t pos = find_token(text, ident, 0);
-           pos != std::string::npos; pos = find_token(text, ident, pos + 1)) {
-        findings.push_back({"no-nondeterminism", file, line_of(text, pos),
-                            std::string(ident) +
-                                " is nondeterministic; model code must "
-                                "derive time and randomness from the model"});
-      }
-    }
-    for (const char* called : kBannedCalls) {
-      const std::size_t len = std::string(called).size();
-      for (std::size_t pos = find_token(text, called, 0);
-           pos != std::string::npos;
-           pos = find_token(text, called, pos + 1)) {
-        if (!is_call(text, pos, len)) continue;
-        findings.push_back({"no-nondeterminism", file, line_of(text, pos),
-                            std::string(called) +
-                                "() is nondeterministic; model code must "
-                                "derive time and randomness from the model"});
-      }
-    }
+    const std::string why =
+        " is nondeterministic; model code must derive time and randomness "
+        "from the model";
+    flag_tokens(findings, "no-nondeterminism", file, text, kBannedIdents,
+                why);
+    flag_tokens(findings, "no-nondeterminism", file, text, kBannedCalls,
+                "()" + why, /*calls_only=*/true);
   }
   return findings;
 }
@@ -346,15 +349,8 @@ std::vector<Finding> check_stdout(const fs::path& root) {
   std::vector<Finding> findings;
   for (const auto& file : collect(root / "src", ".cpp")) {
     const std::string text = strip_comments_and_strings(read_file(file));
-    for (const char* ident : kBanned) {
-      for (std::size_t pos = find_token(text, ident, 0);
-           pos != std::string::npos; pos = find_token(text, ident, pos + 1)) {
-        findings.push_back({"no-stdout", file, line_of(text, pos),
-                            std::string(ident) +
-                                " in model code; printing belongs in bench/ "
-                                "or examples/"});
-      }
-    }
+    flag_tokens(findings, "no-stdout", file, text, kBanned,
+                " in model code; printing belongs in bench/ or examples/");
   }
   return findings;
 }
@@ -544,6 +540,27 @@ std::vector<Finding> check_unit_leak(const fs::path& root) {
   return findings;
 }
 
+std::vector<Finding> check_knob_table(const fs::path& root) {
+  // The environment has one reader, the knob table's translation unit: a
+  // read anywhere else would skip its unknown-name check and its parsers.
+  static const char* const kBanned[] = {"getenv", "secure_getenv",
+                                        "environ"};
+  std::vector<Finding> findings;
+  for (const char* dir : {"src", "bench", "examples", "tools"}) {
+    std::vector<fs::path> files = collect(root / dir, ".cpp");
+    const auto headers = collect(root / dir, ".hpp");
+    files.insert(files.end(), headers.begin(), headers.end());
+    for (const auto& file : files) {
+      if (under(file, root, "src/common/knobs.cpp")) continue;
+      const std::string text = strip_comments_and_strings(read_file(file));
+      flag_tokens(findings, "knob-table", file, text, kBanned,
+                  " outside src/common/knobs.cpp; read SX4NCAR_* knobs "
+                  "through the knob table");
+    }
+  }
+  return findings;
+}
+
 void sort_and_dedupe(std::vector<Finding>& findings) {
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
@@ -563,7 +580,7 @@ std::vector<Finding> lint_tree(const fs::path& root) {
   std::vector<Finding> all;
   for (auto* check : {check_bench_reporter, check_nondeterminism,
                       check_stdout, check_pragma_once, check_typed_units,
-                      check_unit_leak}) {
+                      check_unit_leak, check_knob_table}) {
     auto found = check(root);
     all.insert(all.end(), found.begin(), found.end());
   }

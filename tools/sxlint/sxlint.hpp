@@ -39,6 +39,10 @@
 //                       double/float/uint64 must not return a .value()
 //                       unwrap. Out-of-line definitions in a .cpp are not
 //                       checked for the second pattern.
+//   knob-table          src/, bench/, examples/ and tools/ name getenv,
+//                       secure_getenv or environ only in the knob table,
+//                       src/common/knobs.cpp, which checks every
+//                       SX4NCAR_* name and parses every value.
 //
 // Each finding carries the rule name, file, line, and message. main() prints
 // them `file:line: [rule] message` and exits non-zero on any finding.
@@ -79,5 +83,6 @@ std::vector<Finding> check_stdout(const std::filesystem::path& root);
 std::vector<Finding> check_pragma_once(const std::filesystem::path& root);
 std::vector<Finding> check_typed_units(const std::filesystem::path& root);
 std::vector<Finding> check_unit_leak(const std::filesystem::path& root);
+std::vector<Finding> check_knob_table(const std::filesystem::path& root);
 
 }  // namespace ncar::sxlint

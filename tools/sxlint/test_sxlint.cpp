@@ -132,6 +132,26 @@ TEST(SxlintGood, StreamSinkOnModelTimePasses) {
   EXPECT_EQ(count_rule(findings, "no-nondeterminism"), 0);
 }
 
+TEST(SxlintBad, EnvironmentReadsOutsideTheKnobTableAreFlagged) {
+  auto findings = ncar::sxlint::check_knob_table(testdata("bad"));
+  ncar::sxlint::sort_and_dedupe(findings);
+  // src/env_knob.cpp: std::getenv (line 10) and secure_getenv (line 14);
+  // tools/env_scan.cpp: environ (line 8).
+  ASSERT_EQ(count_rule(findings, "knob-table"), 3);
+  EXPECT_EQ(findings[0].file.filename(), "env_knob.cpp");
+  EXPECT_EQ(findings[0].line, 10);
+  EXPECT_EQ(findings[1].file.filename(), "env_knob.cpp");
+  EXPECT_EQ(findings[1].line, 14);
+  EXPECT_EQ(findings[2].file.filename(), "env_scan.cpp");
+  EXPECT_EQ(findings[2].line, 8);
+}
+
+TEST(SxlintGood, KnobTableMayReadTheEnvironment) {
+  // src/common/knobs.cpp reads environ and getenv; it is the one reader.
+  const auto findings = ncar::sxlint::check_knob_table(testdata("good"));
+  EXPECT_EQ(count_rule(findings, "knob-table"), 0);
+}
+
 TEST(SxlintBad, PrintingModelCodeIsFlagged) {
   const auto findings = ncar::sxlint::check_stdout(testdata("bad"));
   EXPECT_EQ(count_rule(findings, "no-stdout"), 1);
@@ -180,6 +200,7 @@ TEST(SxlintBad, WholeTreeAggregatesEveryRule) {
   EXPECT_GE(count_rule(findings, "pragma-once"), 1);
   EXPECT_GE(count_rule(findings, "typed-units"), 1);
   EXPECT_GE(count_rule(findings, "unit-leak"), 1);
+  EXPECT_GE(count_rule(findings, "knob-table"), 1);
 }
 
 TEST(SxlintOrdering, FindingsAreSortedByFileLineRule) {
