@@ -7,7 +7,8 @@
 # option it does not take. This runs BENCH_BIN with KNOB=VALUE in its
 # environment, or with the arguments `KNOB VALUE` when KNOB starts with
 # "--", and passes only when the run exits 2 and its output names the
-# knob; any other exit, a crash included, fails.
+# knob; any other exit, a crash included, fails. The examples reuse it:
+# they ignore the arguments and exit 2 on a bad knob the same way.
 #
 # Required -D variables: BENCH_BIN, BENCH_NAME, OUT_DIR, KNOB, VALUE.
 

@@ -8,13 +8,14 @@
 #include <cstdio>
 
 #include "ccm2/model.hpp"
+#include "common/error.hpp"
 #include "common/units.hpp"
 #include "iosim/disk.hpp"
 #include "sxs/execution_policy.hpp"
 #include "sxs/machine_config.hpp"
 #include "sxs/node.hpp"
 
-int main() {
+int main() try {
   using namespace ncar;
   std::printf("host execution: %s\n\n", sxs::host_execution_summary().c_str());
 
@@ -62,4 +63,8 @@ int main() {
               100 * (model.energy() / e0 - 1.0),
               100 * (model.moisture_mass(0) / q0 - 1.0));
   return 0;
+} catch (const ncar::config_error& e) {
+  // A bad SX4NCAR_* knob stops the run naming it, as in the bench mains.
+  std::fprintf(stderr, "climate_campaign: %s\n", e.what());
+  return 2;
 }

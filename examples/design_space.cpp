@@ -12,12 +12,13 @@
 #include <iostream>
 #include <string>
 
+#include "common/error.hpp"
 #include "common/table.hpp"
 #include "machines/description.hpp"
 #include "machines/sweep.hpp"
 #include "sxs/execution_policy.hpp"
 
-int main() {
+int main() try {
   using namespace ncar;
   std::cout << "host execution: " << sxs::host_execution_summary()
             << "\n\n";
@@ -73,4 +74,8 @@ int main() {
       "or add pipes and the bound class changes.\n",
       rep.memory_bound_count(), rep.valid_count(), rep.flips.size());
   return 0;
+} catch (const ncar::config_error& e) {
+  // A bad SX4NCAR_* knob stops the run naming it, as in the bench mains.
+  std::fprintf(stderr, "design_space: %s\n", e.what());
+  return 2;
 }

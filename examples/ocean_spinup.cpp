@@ -5,13 +5,14 @@
 
 #include <cstdio>
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 #include "ocean/mom.hpp"
 #include "sxs/execution_policy.hpp"
 #include "sxs/machine_config.hpp"
 #include "sxs/node.hpp"
 
-int main() {
+int main() try {
   using namespace ncar;
   std::printf("host execution: %s\n\n", sxs::host_execution_summary().c_str());
 
@@ -41,4 +42,8 @@ int main() {
               "(the paper: 'a few minutes of CPU time on a fast workstation')\n",
               ncpu, format_duration(elapsed).c_str());
   return 0;
+} catch (const ncar::config_error& e) {
+  // A bad SX4NCAR_* knob stops the run naming it, as in the bench mains.
+  std::fprintf(stderr, "ocean_spinup: %s\n", e.what());
+  return 2;
 }

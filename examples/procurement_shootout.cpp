@@ -9,6 +9,7 @@
 #include <iostream>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "hint/hint.hpp"
@@ -35,7 +36,7 @@ void run_workload(ncar::machines::Comparator& m, long ncol, int nlev) {
 
 }  // namespace
 
-int main() {
+int main() try {
   using namespace ncar;
   std::cout << "host execution: " << sxs::host_execution_summary()
             << "\n\n";
@@ -88,4 +89,8 @@ int main() {
   std::printf("\nThe paper's section 3 lesson: the HINT ranking and the\n"
               "workload ranking disagree — benchmark the workload you run.\n");
   return 0;
+} catch (const ncar::config_error& e) {
+  // A bad SX4NCAR_* knob stops the run naming it, as in the bench mains.
+  std::fprintf(stderr, "procurement_shootout: %s\n", e.what());
+  return 2;
 }

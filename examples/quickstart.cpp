@@ -8,12 +8,13 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 #include "sxs/execution_policy.hpp"
 #include "sxs/machine_config.hpp"
 #include "sxs/node.hpp"
 
-int main() {
+int main() try {
   using namespace ncar;
   std::printf("host execution: %s\n\n", sxs::host_execution_summary().c_str());
 
@@ -59,4 +60,8 @@ int main() {
   // Sanity: the numerics really ran (twice: serial then parallel pass).
   std::printf("y[0] = %.4f (expect %.4f)\n", y[0], 0.25 + 2 * a * 1.5);
   return 0;
+} catch (const ncar::config_error& e) {
+  // A bad SX4NCAR_* knob stops the run naming it, as in the bench mains.
+  std::fprintf(stderr, "quickstart: %s\n", e.what());
+  return 2;
 }

@@ -92,7 +92,6 @@ public:
   RngStream& stream(std::string_view name);
 
   std::uint64_t seed() const { return seed_; }
-  std::size_t stream_count() const { return streams_.size(); }
 
   /// The key `stream(name)` would use, without creating anything.
   static std::uint64_t derive_key(std::uint64_t seed, std::string_view name);

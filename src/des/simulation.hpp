@@ -64,7 +64,6 @@ public:
   // --- randomness ----------------------------------------------------------
   /// The named RNG stream (see des/rng.hpp for the independence contract).
   RngStream& rng(std::string_view name) { return rng_.stream(name); }
-  RngRegistry& rng_registry() { return rng_; }
 
   Calendar& calendar() { return calendar_; }
   const Calendar& calendar() const { return calendar_; }

@@ -93,7 +93,6 @@ public:
   void start(Seconds horizon);
 
   // --- state & statistics (deterministic) --------------------------------
-  bool in_burst() const { return in_burst_; }
   bool in_storm() const { return in_storm_; }
   std::uint64_t jobs_emitted() const { return jobs_emitted_; }
   std::uint64_t retries_emitted() const { return retries_emitted_; }

@@ -6,11 +6,8 @@
 // processors (one record per latitude). The model is a striped array of
 // spindles behind controllers: each request pays seek + rotational latency
 // once per contiguous extent and then streams at the media rate; striping
-// spreads large transfers across spindles.
-//
-// The model is analytic (it prices transfers in closed form); for
-// event-driven use, where queued transfers contend in simulated time,
-// wrap the device in a DiskLp from iosim/lp.hpp.
+// spreads large transfers across spindles. The model is analytic: it
+// prices transfers in closed form.
 
 #include <cstdint>
 

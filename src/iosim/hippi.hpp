@@ -5,10 +5,7 @@
 // and measures the data rate for single and multiple concurrent transfers.
 // A HIPPI-800 channel carries 100 MB/s of payload; each packet pays a
 // connection/setup latency; concurrent transfers ride separate channels up
-// to the IOP count and then share.
-//
-// The model is analytic; for event-driven use (transfers queueing on the
-// channel in simulated time) wrap it in a HippiLp from iosim/lp.hpp.
+// to the IOP count and then share. The model is analytic.
 
 #include <vector>
 

@@ -55,7 +55,6 @@ void NodeLp::on_completion() {
       used_ -= it->cpus;
       Completion done = std::move(it->done);
       it = running_.erase(it);
-      ++completions_;
       if (done) done();
     } else {
       ++it;

@@ -22,7 +22,6 @@
 // never re-derived from event times — so (now + dt) - now rounding can
 // never leak into the remaining-time bookkeeping.
 
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -55,7 +54,6 @@ public:
   /// CPU-seconds of wall occupancy delivered so far (the year bench's
   /// utilisation numerator). Updated at every node event.
   double busy_cpu_seconds() const { return busy_cpu_seconds_; }
-  std::uint64_t completions() const { return completions_; }
 
 private:
   struct Running {
@@ -90,7 +88,6 @@ private:
   double pending_factor_ = 1;  ///< contention factor of the armed step
   des::EventId completion_{};
   double busy_cpu_seconds_ = 0;
-  std::uint64_t completions_ = 0;
 };
 
 }  // namespace ncar::prodload

@@ -74,8 +74,7 @@ bool QueueComplexLp::idle() const {
 void QueueComplexLp::dispatch(std::size_t q) {
   auto& backlog = backlog_[q];
   while (!backlog.empty() && active_[q] < queues_[q].run_limit) {
-    // Highest priority first; submission order breaks ties (the same
-    // order Nqs::lower's stable sort produces on a closed backlog).
+    // Highest priority first; submission order breaks ties.
     auto best = backlog.begin();
     for (auto it = backlog.begin(); it != backlog.end(); ++it) {
       if (it->job.priority > best->job.priority) best = it;

@@ -1,14 +1,19 @@
 #pragma once
-// An online NQS queue complex as a DES logical process.
+// An online NQS queue complex as a DES logical process (paper section
+// 2.6.3).
 //
-// `Nqs::run` lowers a *closed* backlog onto the scheduler (every job known
-// up front — the PRODLOAD benchmark shape). A production year is an *open*
-// system: jobs arrive continuously, queues drain by priority under their
-// run limits, and the machine's FIFO resource block is shared by every
-// queue. QueueComplexLp is that open system on the DES kernel: each queue
-// holds a (priority desc, arrival asc) backlog, dispatches to the shared
-// NodeLp whenever it has a free run slot, and reclaims the slot at the
-// job's completion event.
+// "SUPER-UX NQS is enhanced to add substantial user control over work...
+// NQS queues, queue complexes, and the full range of individual queue
+// parameters and accounting facilities are supported."
+//
+// A production year is an *open* system: jobs arrive continuously, queues
+// drain by priority under their run limits, and the machine's FIFO
+// resource block is shared by every queue. QueueComplexLp is that open
+// system on the DES kernel: named queues with a per-job CPU ceiling and a
+// run limit (how many of the queue's jobs may execute concurrently). Each
+// queue holds a (priority desc, arrival asc) backlog, dispatches to the
+// shared NodeLp whenever it has a free run slot, and reclaims the slot at
+// the job's completion event.
 //
 // Everything here is deterministic: dispatch order is a pure function of
 // (priority, submission order), and all timing comes from the simulation
@@ -22,9 +27,22 @@
 
 #include "des/simulation.hpp"
 #include "prodload/node_lp.hpp"
-#include "prodload/nqs.hpp"
 
 namespace ncar::prodload {
+
+struct QueueSpec {
+  std::string name;
+  int max_cpus_per_job = 32;  ///< per-job CPU ceiling (qmgr "per-request")
+  int run_limit = 1;          ///< concurrently executing jobs from this queue
+};
+
+struct NqsJob {
+  std::string name;
+  int cpus = 1;
+  Seconds service{};
+  int priority = 0;       ///< higher runs earlier within its queue
+  std::uint64_t tag = 0;  ///< caller-owned correlation id (completion callbacks)
+};
 
 class QueueComplexLp {
 public:

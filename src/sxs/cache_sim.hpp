@@ -60,7 +60,6 @@ public:
     return Bytes(static_cast<double>(sets_ * static_cast<std::size_t>(ways_) *
                                      line_bytes_));
   }
-  Bytes line_size() const { return Bytes(static_cast<double>(line_bytes_)); }
 
 private:
   struct Line {

@@ -176,7 +176,6 @@ public:
   /// rank's track with the node wall clock by setting the offset to the
   /// node's elapsed cycles at region entry.
   void set_trace_time_offset(double cycles) { trace_time_offset_ = cycles; }
-  double trace_time_offset() const { return trace_time_offset_; }
 
   const MachineConfig& config() const { return *cfg_; }
   const MemoryModel& memory() const { return mem_; }

@@ -111,10 +111,6 @@ struct MachineConfig {
   BytesPerSec xmu_bandwidth() const {
     return BytesPerSec(xmu_bytes_per_clock.value() * clock_hz());
   }
-  /// Peak vector flop rate per CPU as a typed rate.
-  FlopsPerSec peak_rate_per_cpu() const {
-    return FlopsPerSec(peak_flops_per_cpu());
-  }
 
   /// The SX-4/32 of Table 2: 9.2 ns clock, 32 CPUs, 8 GB memory, 4 GB XMU.
   static MachineConfig sx4_benchmarked();

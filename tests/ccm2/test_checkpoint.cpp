@@ -7,7 +7,6 @@
 
 #include "ccm2/model.hpp"
 #include "common/error.hpp"
-#include "iosim/sfs.hpp"
 #include "ocean/mom.hpp"
 #include "sxs/machine_config.hpp"
 
@@ -73,20 +72,6 @@ TEST(Ccm2Checkpoint, CheckpointBytesCoverFullState) {
   // An 18-level T42 checkpoint: a few MB (spectral + grid fields).
   EXPECT_GT(model.checkpoint_bytes(), 2e6);
   EXPECT_LT(model.checkpoint_bytes(), 500e6);
-}
-
-TEST(Ccm2Checkpoint, CheckpointWriteThroughSfsIsFast) {
-  // The checkpoint lands in the XMU cache at far better than disk speed —
-  // why the SX-4's checkpoint/restart was operationally painless.
-  sxs::Node node(sxs::MachineConfig::sx4_benchmarked());
-  ccm2::Ccm2Config c;
-  c.res = ccm2::t42l18();
-  ccm2::Ccm2 model(c, node);
-  iosim::DiskSystem disk;
-  iosim::Sfs fs(sxs::MachineConfig::sx4_benchmarked(), disk);
-  const double wait =
-      fs.write(ncar::Bytes(model.checkpoint_bytes())).value();
-  EXPECT_LT(wait, 0.1);
 }
 
 TEST(MomCheckpoint, RestartContinuationIsBitIdentical) {

@@ -1,9 +1,9 @@
-// Golden determinism tests (ISSUE 6 satellite): the DES-ported scheduler
-// and SFS must reproduce the pre-port results bit-exactly.
+// Golden determinism tests: the DES-ported scheduler must reproduce the
+// pre-port results bit-exactly.
 //
 // Two layers of pinning:
-//   * a verbatim copy of the legacy drain-clock loops (scheduler + SFS as
-//     they were before the port) lives in this file as the reference;
+//   * a verbatim copy of the legacy drain-clock loop (the scheduler as it
+//     was before the port) lives in this file as the reference;
 //     randomized workloads must match it double-for-double;
 //   * the PRODLOAD bench's four test times are pinned to the exact
 //     doubles committed in bench/baselines/prodload.json.
@@ -17,9 +17,7 @@
 #include <vector>
 
 #include "ccm2/model.hpp"
-#include "iosim/disk.hpp"
 #include "iosim/hippi.hpp"
-#include "iosim/sfs.hpp"
 #include "prodload/scheduler.hpp"
 #include "sxs/machine_config.hpp"
 #include "sxs/node.hpp"
@@ -229,107 +227,6 @@ TEST(GoldenScheduler, ProdloadBaselineDoublesAreBitIdentical) {
   prodload::Sequence t170b{"t170b",
                            {{"T170 2-day", {{"CCM2 T170", 16, t170_2d}}}}};
   EXPECT_EQ(sched.run({t170a, t170b}).makespan.value(), 504.54412713416156);
-}
-
-// ---------------------------------------------------------------------------
-// The legacy SFS drain clock, verbatim (pre-calendar), against the ported
-// Sfs over a mixed op sequence. Each side gets its own DiskSystem so the
-// accounting comparison is apples to apples.
-
-struct LegacySfs {
-  ncar::iosim::SfsConfig cfg;
-  double xmu_bw;
-  ncar::iosim::DiskSystem* disk;
-  double now = 0, dirty = 0, resident = 0;
-
-  void drain_until(double t) {
-    if (t <= now) return;
-    const double window = t - now;
-    const double rate = disk->streaming_bytes_per_s().value();
-    const double drained = std::min(dirty, rate * window);
-    if (drained > 0) {
-      disk->record_transfer(Bytes(drained), Seconds(drained / rate));
-      dirty -= drained;
-      resident = std::min(cfg.cache.value(), resident + drained);
-    }
-    now = t;
-  }
-  double write(double bytes) {
-    double wait = 0, remaining = bytes;
-    while (remaining > 0) {
-      const double unit = std::min(remaining, cfg.staging_unit.value());
-      const double free_space = cfg.cache.value() - dirty;
-      if (unit > free_space) {
-        const double stall =
-            (unit - free_space) / disk->streaming_bytes_per_s().value();
-        drain_until(now + stall);
-        wait += stall;
-      }
-      const double t = unit / xmu_bw;
-      drain_until(now + t);
-      wait += t;
-      dirty += unit;
-      remaining -= unit;
-    }
-    return wait;
-  }
-  double read(double bytes) {
-    const double cached = std::min(bytes, resident + dirty);
-    const double from_disk = bytes - cached;
-    double t = cached / xmu_bw;
-    if (from_disk > 0) {
-      t += disk->sequential_seconds(Bytes(from_disk)).value();
-      disk->record_transfer(Bytes(from_disk),
-                            disk->sequential_seconds(Bytes(from_disk)));
-    }
-    drain_until(now + t);
-    return t;
-  }
-  double flush() {
-    const double wait = dirty / disk->streaming_bytes_per_s().value();
-    drain_until(now + wait);
-    return wait;
-  }
-};
-
-TEST(GoldenSfs, MixedOpSequenceMatchesLegacyClockBitExactly) {
-  using namespace ncar;
-  const auto machine = sxs::MachineConfig::sx4_benchmarked();
-  iosim::SfsConfig cfg;
-  cfg.cache = Bytes(64.0 * 1024 * 1024);
-  cfg.staging_unit = Bytes(4.0 * 1024 * 1024);
-
-  iosim::DiskSystem disk_new, disk_ref;
-  iosim::Sfs sfs(machine, disk_new, cfg);
-  LegacySfs ref{cfg, machine.xmu_bandwidth().value(), &disk_ref};
-
-  std::mt19937_64 rng(0x5F5);
-  std::uniform_real_distribution<double> size(1.0, 200.0 * 1024 * 1024);
-  std::uniform_real_distribution<double> gap(0.0, 0.5);
-  std::uniform_int_distribution<int> op(0, 9);
-  for (int i = 0; i < 300; ++i) {
-    const int o = op(rng);
-    if (o < 5) {
-      const double b = size(rng);
-      EXPECT_EQ(sfs.write(Bytes(b)).value(), ref.write(b)) << "op " << i;
-    } else if (o < 8) {
-      const double b = size(rng);
-      EXPECT_EQ(sfs.read(Bytes(b)).value(), ref.read(b)) << "op " << i;
-    } else if (o < 9) {
-      const double g = gap(rng);
-      sfs.advance(Seconds(g));
-      ref.drain_until(ref.now + g);
-    } else {
-      EXPECT_EQ(sfs.flush().value(), ref.flush()) << "op " << i;
-    }
-    ASSERT_EQ(sfs.now().value(), ref.now) << "op " << i;
-    ASSERT_EQ(sfs.dirty_bytes().value(), ref.dirty) << "op " << i;
-  }
-  EXPECT_EQ(disk_new.total_bytes().value(), disk_ref.total_bytes().value());
-  EXPECT_EQ(disk_new.busy_seconds().value(), disk_ref.busy_seconds().value());
-  // The port actually exercised the calendar: the cache ran dry at least
-  // once, each time through a popped drain-complete event.
-  EXPECT_GT(sfs.drain_completions(), 0u);
 }
 
 }  // namespace

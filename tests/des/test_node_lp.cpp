@@ -18,6 +18,7 @@ using ncar::des::Simulation;
 using ncar::prodload::NodeLp;
 using ncar::prodload::NqsJob;
 using ncar::prodload::QueueComplexLp;
+using ncar::prodload::QueueSpec;
 
 TEST(NodeLpTest, SingleComponentRunsAtQuietSpeed) {
   Simulation sim;
@@ -101,6 +102,60 @@ TEST(NodeLpTest, RejectsImpossibleComponents) {
   EXPECT_THROW(node.submit(5, Seconds(1.0), {}), ncar::precondition_error);
   EXPECT_THROW(node.submit(0, Seconds(1.0), {}), ncar::precondition_error);
   EXPECT_THROW(node.submit(1, Seconds(0.0), {}), ncar::precondition_error);
+}
+
+TEST(QueueComplexTest, QueueLookup) {
+  Simulation sim;
+  NodeLp node(sim, 32, 0.0);
+  QueueComplexLp nqs(sim, node, {{"batch", 16, 2}, {"express", 4, 1}});
+  EXPECT_EQ(nqs.queue_count(), 2);
+  EXPECT_EQ(nqs.queue_index("batch"), 0);
+  EXPECT_EQ(nqs.queue_index("express"), 1);
+  EXPECT_EQ(nqs.queue_index("nope"), -1);
+  EXPECT_EQ(nqs.queue(0).run_limit, 2);
+  EXPECT_EQ(nqs.queue(1).max_cpus_per_job, 4);
+  EXPECT_THROW(nqs.queue(2), ncar::precondition_error);
+}
+
+TEST(QueueComplexTest, InvalidConfigurationsThrow) {
+  Simulation sim;
+  NodeLp node(sim, 32, 0.0);
+  using Specs = std::vector<QueueSpec>;
+  EXPECT_THROW(QueueComplexLp(sim, node, Specs{}), ncar::precondition_error);
+  EXPECT_THROW(QueueComplexLp(sim, node, Specs{{"", 8, 1}}),
+               ncar::precondition_error);
+  EXPECT_THROW(QueueComplexLp(sim, node, Specs{{"q", 0, 1}}),
+               ncar::precondition_error);
+  EXPECT_THROW(QueueComplexLp(sim, node, Specs{{"q", 8, 0}}),
+               ncar::precondition_error);
+  QueueComplexLp nqs(sim, node, {{"q", 8, 1}});
+  EXPECT_THROW(nqs.submit(1, {"x", 1, Seconds(1.0), 0, 0}),
+               ncar::precondition_error);
+  EXPECT_THROW(nqs.submit("q", {"x", 0, Seconds(1.0), 0, 0}),
+               ncar::precondition_error);
+  EXPECT_THROW(nqs.submit("q", {"x", 1, Seconds(0.0), 0, 0}),
+               ncar::precondition_error);
+  EXPECT_EQ(nqs.jobs_submitted(), 0u);
+  EXPECT_TRUE(nqs.idle());
+}
+
+TEST(QueueComplexTest, QueuesCompeteForTheNode) {
+  // Two queues with free run slots but an 8-CPU node: the node's FIFO
+  // admission serialises what the queues release.
+  Simulation sim;
+  NodeLp node(sim, 8, 0.0);
+  QueueComplexLp nqs(sim, node, {{"a", 8, 4}, {"b", 8, 4}});
+  std::vector<double> finished;
+  nqs.set_completion([&](const NqsJob&, Seconds, Seconds, Seconds done) {
+    finished.push_back(done.value());
+  });
+  nqs.submit("a", {"a1", 8, Seconds(50.0), 0, 0});
+  nqs.submit("b", {"b1", 8, Seconds(50.0), 0, 0});
+  EXPECT_EQ(nqs.in_service(0), 1);
+  EXPECT_EQ(nqs.in_service(1), 1);
+  sim.run();
+  EXPECT_EQ(finished, (std::vector<double>{50.0, 100.0}));
+  EXPECT_TRUE(nqs.idle());
 }
 
 TEST(QueueComplexTest, RunLimitCapsConcurrency) {

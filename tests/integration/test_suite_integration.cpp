@@ -6,14 +6,12 @@
 #include "ccm2/model.hpp"
 #include "fpt/elefunt.hpp"
 #include "fpt/paranoia.hpp"
-#include "iosim/sfs.hpp"
 #include "machines/comparator.hpp"
 #include "ocean/mom.hpp"
 #include "prodload/scheduler.hpp"
 #include "radabs/radabs.hpp"
 #include "sxs/machine_config.hpp"
 #include "sxs/node.hpp"
-#include "sxs/resource_block.hpp"
 
 namespace {
 
@@ -31,60 +29,6 @@ TEST(SuiteIntegration, CorrectnessGatesPerformance) {
   machines::Comparator sx4(machines::Comparator::nec_sx4_single());
   const auto radabs = radabs::run_radabs_standard(sx4);
   EXPECT_GT(radabs.equiv_mflops, 0.0);
-}
-
-// A climate-campaign day: model steps + history write through SFS, with
-// the write-back cache absorbing the I/O at XMU speed.
-TEST(SuiteIntegration, CampaignDayWithSfsHistory) {
-  const auto machine = sxs::MachineConfig::sx4_benchmarked();
-  sxs::Node node(machine);
-  ccm2::Ccm2Config c;
-  c.res = ccm2::t42l18();
-  ccm2::Ccm2 model(c, node);
-
-  iosim::DiskSystem disk;
-  iosim::Sfs fs(machine, disk);
-
-  double compute = 0;
-  for (int s = 0; s < 12; ++s) compute += model.step(32).total;
-  const double io_wait = fs.write(model.history_bytes()).value();
-  fs.advance(ncar::Seconds(compute));  // next day overlaps the drain
-
-  // The SFS wait is tiny next to raw disk time.
-  EXPECT_LT(io_wait, 0.1 * (model.history_bytes() /
-                            disk.streaming_bytes_per_s())
-                             .value());
-  // And the drain made progress during compute.
-  EXPECT_LT(fs.dirty_bytes().value(), model.history_bytes().value());
-}
-
-// Resource blocks host the PRODLOAD mix: the batch block takes the CCM2
-// jobs, the interactive block stays responsive (its minimum is preserved).
-TEST(SuiteIntegration, ResourceBlocksCarryProdloadMix) {
-  sxs::ResourceBlockTable blocks(
-      32, {{"interactive", 2, 4, sxs::SchedulingPolicy::Interactive},
-           {"batch", 0, 28, sxs::SchedulingPolicy::Fifo}});
-
-  // A PRODLOAD job: T106 on 8, two T42s on 2 each, HIPPI on 1 = 13 CPUs.
-  std::vector<sxs::Allocation> job;
-  for (int cpus : {8, 2, 2, 1}) {
-    auto a = blocks.allocate("batch", cpus);
-    ASSERT_TRUE(a.valid());
-    job.push_back(a);
-  }
-  // Two such jobs fit the batch block (26 <= 28)...
-  std::vector<sxs::Allocation> job2;
-  for (int cpus : {8, 2, 2, 1}) {
-    auto a = blocks.allocate("batch", cpus);
-    ASSERT_TRUE(a.valid());
-    job2.push_back(a);
-  }
-  // ...a third does not start (batch is at 26/28, first component needs 8).
-  EXPECT_FALSE(blocks.allocate("batch", 8).valid());
-  // The interactive minimum survived throughout.
-  EXPECT_GE(blocks.available(0), 2);
-  for (auto& a : job) blocks.release(a);
-  for (auto& a : job2) blocks.release(a);
 }
 
 // Checkpoint a MOM run mid-flight, "migrate" it to a fresh node (as NQS
