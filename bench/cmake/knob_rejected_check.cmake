@@ -1,10 +1,11 @@
 # Rejection check for a malformed runtime knob or an unknown command-line
 # option.
 #
-# Each SX4NCAR_* knob a bench main reads has one strict parser that throws
-# ncar::config_error on a value it does not know; BenchReporter turns that
-# into exit 2 with a message naming the knob, and does the same for an
-# option it does not take. This runs BENCH_BIN with KNOB=VALUE in its
+# The knob table checks every SX4NCAR_* setting at its one read of the
+# environment and throws ncar::config_error on a name it does not declare
+# or a value the name's row does not accept; BenchReporter turns that into
+# exit 2 with a message naming the knob, and does the same for an option
+# it does not take. This runs BENCH_BIN with KNOB=VALUE in its
 # environment, or with the arguments `KNOB VALUE` when KNOB starts with
 # "--", and passes only when the run exits 2 and its output names the
 # knob; any other exit, a crash included, fails. The examples reuse it:
@@ -31,7 +32,6 @@ endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env
     ${knob_env}
-    SX4NCAR_BENCH_FULL=
     ${BENCH_BIN} --deterministic
       --json ${OUT_DIR}/${BENCH_NAME}.${KNOB}.json ${knob_args}
   RESULT_VARIABLE rc

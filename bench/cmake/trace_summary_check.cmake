@@ -24,7 +24,6 @@ function(run_trace trace tag)
   set(out ${OUT_DIR}/${BENCH_NAME}.${tag}.json)
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E env
-      SX4NCAR_BENCH_FULL=
       SX4NCAR_TRACE=${trace}
       ${BENCH_BIN} --deterministic --json ${out}
     RESULT_VARIABLE rc

@@ -22,7 +22,6 @@ file(CREATE_LINK /dev/full ${OUT_DIR}/${BENCH_NAME}.trace.sxt SYMBOLIC)
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env
     SX4NCAR_TRACE=stream
-    SX4NCAR_BENCH_FULL=
     SX4NCAR_BENCH_RESULTS_DIR=${OUT_DIR}
     ${BENCH_BIN} --deterministic --json ${OUT_DIR}/${BENCH_NAME}.json
   RESULT_VARIABLE rc

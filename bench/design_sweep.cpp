@@ -16,9 +16,10 @@
 // capacity/exploration bench pinned by its own smoke + determinism tests
 // (the committed baseline set stays at exactly the 16 paper benches).
 //
-// Knobs: the SX4NCAR_SWEEP_* rows of the knob table (common/knobs.hpp),
-// where each one's values and default are documented. A malformed knob
-// stops the run with exit 2 and a message naming it.
+// Knobs: SX4NCAR_SWEEP_KERNEL picks the probe kernel and
+// SX4NCAR_SWEEP_REPORT the report path, both documented in the knob table
+// (common/knobs.hpp). A malformed value stops the run with exit 2 naming
+// it. The grid is fixed; examples/design_space.cpp builds its own.
 
 #include <cctype>
 #include <chrono>
@@ -34,7 +35,6 @@
 #include "harness/sweep_report.hpp"
 #include "machines/description.hpp"
 #include "machines/sweep.hpp"
-#include "sxs/execution_policy.hpp"
 
 namespace {
 
@@ -42,35 +42,16 @@ using ncar::machines::Axis;
 using ncar::machines::Grid;
 using ncar::machines::SweepReport;
 
-/// What the SX4NCAR_SWEEP_* knobs select.
-struct SweepKnobs {
-  std::string kernel;
-  std::string base;
-  std::vector<Axis> axes;
-  std::string report;
+/// The swept design space: every combination of these values on the
+/// catalog's SX-4/1, 1200 points.
+constexpr const char* kBase = "NEC SX-4/1";
+const std::vector<Axis> kAxes = {
+    {"pipes_per_group", {1, 2, 4, 8, 16, 32}},
+    {"vector_length", {32, 64, 128, 256, 512}},
+    {"port_bytes_per_clock", {16, 32, 64, 128, 256}},
+    {"memory_banks", {256, 512, 1024, 2048}},
+    {"clock_ns", {9.2, 8}},
 };
-
-SweepKnobs read_sweep_knobs(const std::string& default_report) {
-  const ncar::knobs::Settings& env = ncar::knobs::process();
-  SweepKnobs k;
-  k.kernel = env.choice("SX4NCAR_SWEEP_KERNEL", "radabs",
-                        ncar::machines::probe_kernels());
-  k.base = env.choice("SX4NCAR_SWEEP_BASE", "NEC SX-4/1",
-                      ncar::machines::builtin_names());
-  k.axes = {
-      {"pipes_per_group",
-       env.positive_list("SX4NCAR_SWEEP_PIPES", {1, 2, 4, 8, 16, 32})},
-      {"vector_length",
-       env.positive_list("SX4NCAR_SWEEP_VL", {32, 64, 128, 256, 512})},
-      {"port_bytes_per_clock",
-       env.positive_list("SX4NCAR_SWEEP_PORT", {16, 32, 64, 128, 256})},
-      {"memory_banks",
-       env.positive_list("SX4NCAR_SWEEP_BANKS", {256, 512, 1024, 2048})},
-      {"clock_ns", env.positive_list("SX4NCAR_SWEEP_CLOCKS", {9.2, 8})},
-  };
-  k.report = env.string("SX4NCAR_SWEEP_REPORT", default_report);
-  return k;
-}
 
 /// Metric-name slug for a catalog machine ("NEC SX-4/1" -> "nec_sx_4_1").
 std::string slug(const std::string& name) {
@@ -103,17 +84,15 @@ int main(int argc, char** argv) {
   using namespace ncar;
   bench::BenchReporter rep("design_sweep", argc, argv);
 
-  const SweepKnobs knobs = rep.read_knobs(
-      [&] { return read_sweep_knobs(rep.aux_path("report.json")); });
-  const std::string& kernel = knobs.kernel;
-  const std::string& base_name = knobs.base;
-  const std::vector<Axis>& axes = knobs.axes;
+  const knobs::Settings& env = knobs::process();
+  const std::string kernel = env.choice("SX4NCAR_SWEEP_KERNEL", "radabs");
+  const std::string report_path =
+      env.string("SX4NCAR_SWEEP_REPORT", rep.aux_path("report.json"));
 
-  const Grid grid(machines::builtin_catalog().at(base_name), axes);
+  const Grid grid(machines::builtin_catalog().at(kBase), kAxes);
 
   machines::SweepOptions opts;
   opts.kernel = kernel;
-  opts.policy = sxs::default_execution_policy();
 
   const auto host_start = std::chrono::steady_clock::now();
   const SweepReport report = machines::run_sweep(grid, opts);
@@ -123,7 +102,7 @@ int main(int argc, char** argv) {
           .count();
 
   print_banner(std::cout, "DESIGN SWEEP: " + std::to_string(grid.size()) +
-                              " machines descended from " + base_name);
+                              " machines descended from " + kBase);
   Table t({"Quantity", "Value"});
   t.add_row({"kernel", kernel});
   for (const Axis& axis : grid.axes()) {
@@ -166,7 +145,6 @@ int main(int argc, char** argv) {
   }
   rank.print(std::cout);
 
-  const std::string& report_path = knobs.report;
   bool report_written = false;
   try {
     bench::sweep_report_json(report).save(report_path);

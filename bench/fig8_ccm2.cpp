@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
   sxs::Node node(cfg);
   // Streaming trace sink (SX4NCAR_TRACE=stream); inactive in other modes.
   bench::StreamTrace stream(rep.aux_path("trace.sxt"), node);
-  const bool full = rep.full_mode();
 
   print_banner(std::cout,
                "Figure 8: CCM2 sustained Cray-equivalent Gflops, SX-4/32");
@@ -45,7 +44,7 @@ int main(int argc, char** argv) {
   for (const auto& res : resolutions) {
     ccm2::Ccm2Config c;
     c.res = res;
-    c.active_levels = full ? 2 : 1;
+    c.active_levels = 1;
     ccm2::Ccm2 model(c, node);
     double g1 = 0;
     for (int p : {1, 2, 4, 8, 16, 32}) {
@@ -53,7 +52,7 @@ int main(int argc, char** argv) {
       // Gflops depend only on the charge sequence, never on the prognostic
       // fields, so the sweep replays charges (see Ccm2::charge_step) instead
       // of re-running the host numerics at every CPU count.
-      const double g = model.charge_sustained_equiv_gflops(p, full ? 2 : 1);
+      const double g = model.charge_sustained_equiv_gflops(p, 1);
       if (p == 1) g1 = g;
       t.add_row({res.name, std::to_string(p), format_fixed(g, 2),
                  format_fixed(g / g1, 2)});

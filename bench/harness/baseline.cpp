@@ -16,7 +16,6 @@ Json Baseline::to_json() const {
   Json j = Json::object();
   j.set("schema", "sx4ncar-bench-baseline-v1");
   j.set("bench", bench);
-  j.set("full_mode", full_mode);
   Json ms = Json::object();
   for (const auto& m : metrics) ms.set(m.name, m.value);
   j.set("metrics", std::move(ms));
@@ -31,7 +30,6 @@ Json Baseline::to_json() const {
 Baseline Baseline::from_json(const Json& j) {
   Baseline b;
   b.bench = j.at("bench").as_string();
-  if (const Json* full = j.find("full_mode")) b.full_mode = full->as_bool();
   const Json* units = j.find("units");
   for (const auto& [name, value] : j.at("metrics").as_object()) {
     Metric m;

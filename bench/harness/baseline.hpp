@@ -3,10 +3,10 @@
 //
 // A Baseline is the committed reference copy of one bench binary's result
 // file (bench/baselines/<name>.json): the named scalar metrics it emitted
-// on a known-good build, plus the mode it ran in. `compare_metrics` diffs
-// a fresh run against it with a symmetric relative tolerance — the model
-// is deterministic, so the tolerance only has to absorb cross-platform
-// libm and codegen differences, not run-to-run noise.
+// on a known-good build. `compare_metrics` diffs a fresh run against it
+// with a symmetric relative tolerance — the model is deterministic, so the
+// tolerance only has to absorb cross-platform libm and codegen
+// differences, not run-to-run noise.
 
 #include <optional>
 #include <string>
@@ -28,8 +28,7 @@ struct Metric {
 };
 
 struct Baseline {
-  std::string bench;       ///< bench binary name, e.g. "table7_mom"
-  bool full_mode = false;  ///< recorded with SX4NCAR_BENCH_FULL set?
+  std::string bench;            ///< bench binary name, e.g. "table7_mom"
   std::vector<Metric> metrics;  ///< insertion order preserved
 
   const Metric* find(const std::string& name) const;
@@ -42,8 +41,7 @@ struct Baseline {
   void save(const std::string& path) const;
 
   bool operator==(const Baseline& other) const {
-    return bench == other.bench && full_mode == other.full_mode &&
-           metrics == other.metrics;
+    return bench == other.bench && metrics == other.metrics;
   }
 };
 

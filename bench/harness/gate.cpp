@@ -143,16 +143,6 @@ int run_gate(const GateOptions& opts, std::ostream& log,
       continue;
     }
 
-    if (run.full_mode != base.full_mode) {
-      entry.status = "mode-mismatch";
-      entry.notes.push_back(std::string("baseline is ") +
-                            (base.full_mode ? "full" : "quick") +
-                            " mode, result is " +
-                            (run.full_mode ? "full" : "quick"));
-      report.entries.push_back(std::move(entry));
-      continue;
-    }
-
     const CompareResult cmp = compare_metrics(base, run.metrics, kGateRelTol);
     entry.metrics_checked = static_cast<int>(cmp.deltas.size());
     entry.regressed = cmp.regressed;

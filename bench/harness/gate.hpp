@@ -28,8 +28,8 @@ struct GateOptions {
 /// Per-bench verdict in the roll-up.
 struct GateEntry {
   std::string bench;
-  /// "ok", "regressed", "missing-result", "mode-mismatch",
-  /// "expectation-failed", "no-baseline", "invalid-result"
+  /// "ok", "regressed", "missing-result", "expectation-failed",
+  /// "no-baseline", "invalid-result"
   std::string status;
   int metrics_checked = 0;
   int regressed = 0;
@@ -46,8 +46,8 @@ struct GateReport {
 
 /// Run the gate. Returns the process exit code: 0 = all baselines matched
 /// and all recorded expectations passed; 1 = regression, missing metric,
-/// missing result, mode mismatch, or failed expectation; 2 = unusable
-/// configuration (missing directories, unwritable summary or baseline).
+/// missing result, or failed expectation; 2 = unusable configuration
+/// (missing directories, unwritable summary or baseline).
 ///
 /// With `update_baselines` set, instead rewrites
 /// `<baselines_dir>/<bench>.json` from every result in `results_dir`

@@ -10,7 +10,6 @@
 #include "common/error.hpp"
 #include "common/knobs.hpp"
 #include "sxs/execution_policy.hpp"
-#include "trace/category.hpp"
 
 namespace ncar::bench {
 
@@ -21,7 +20,6 @@ namespace {
   std::fprintf(out,
                "usage: %s [options]\n"
                "  --json <path>        write result JSON to <path>\n"
-               "  --list               print metrics/expectations, no JSON\n"
                "  --deterministic      omit host-dependent JSON fields\n"
                "  --help               this message\n",
                name.c_str());
@@ -43,7 +41,6 @@ BenchReporter::BenchReporter(std::string name, int argc, char** argv)
       return argv[++i];
     };
     if (arg == "--json") json_path_ = value();
-    else if (arg == "--list") list_ = true;
     else if (arg == "--deterministic") deterministic_ = true;
     else if (arg == "--help" || arg == "-h") usage(name_, 0);
     else {
@@ -54,26 +51,17 @@ BenchReporter::BenchReporter(std::string name, int argc, char** argv)
   }
 
   // The knob table is strict: an SX4NCAR_* name it does not declare, or a
-  // malformed SX4NCAR_HOST_THREADS, SX4NCAR_SIMD or SX4NCAR_TRACE, stops
-  // the run here, naming the knob.
+  // value its row does not accept, stops the run here, naming the knob.
+  // Every later knob read of the run sees the checked settings.
   try {
-    const knobs::Settings& env = knobs::process();
-    // Set *and non-empty* selects the full sweep; `SX4NCAR_BENCH_FULL=`
-    // forces the quick mode (CTest uses this so runs match the committed
-    // baselines).
-    full_mode_ = !env.string("SX4NCAR_BENCH_FULL", "").empty();
-    results_dir_ = env.string("SX4NCAR_BENCH_RESULTS_DIR", "bench/results");
+    results_dir_ = knobs::process().string("SX4NCAR_BENCH_RESULTS_DIR",
+                                           "bench/results");
     host_execution_ = sxs::host_execution_summary();
-    (void)trace::mode();
   } catch (const config_error& e) {
-    config_exit(e);
+    std::fprintf(stderr, "%s: %s\n", name_.c_str(), e.what());
+    std::exit(2);
   }
   std::cout << "host execution: " << host_execution_ << "\n\n";
-}
-
-void BenchReporter::config_exit(const config_error& e) const {
-  std::fprintf(stderr, "%s: %s\n", name_.c_str(), e.what());
-  std::exit(2);
 }
 
 namespace {
@@ -163,7 +151,6 @@ Json BenchReporter::result_json() const {
   Json j = Json::object();
   j.set("schema", "sx4ncar-bench-result-v1");
   j.set("bench", name_);
-  j.set("full_mode", full_mode_);
   if (!deterministic_) {
     j.set("host_execution", host_execution_);
     const double wall =
@@ -204,8 +191,7 @@ int BenchReporter::finish(std::ostream& os) {
   }
 
   os << "\n[harness] " << name_ << ": " << metrics_.size() << " metrics, "
-     << expectations_.size() << " expectations, " << failed << " failed"
-     << (full_mode_ ? " (full mode)" : "") << '\n';
+     << expectations_.size() << " expectations, " << failed << " failed\n";
   for (const auto& e : expectations_) {
     if (!e.passed) {
       os << "[harness] FAILED " << e.metric << ": actual "
@@ -215,26 +201,6 @@ int BenchReporter::finish(std::ostream& os) {
   }
 
   const int rc = failed == 0 ? 0 : 1;
-
-  if (list_) {
-    for (const auto& m : metrics_) {
-      os << "metric " << m.name << " = " << Json::number_to_string(m.value);
-      if (!m.unit.empty()) os << ' ' << m.unit;
-      os << '\n';
-    }
-    for (const auto& m : host_metrics_) {
-      os << "host_metric " << m.name << " = "
-         << Json::number_to_string(m.value);
-      if (!m.unit.empty()) os << ' ' << m.unit;
-      os << '\n';
-    }
-    for (const auto& e : expectations_) {
-      os << "expectation " << e.metric << " in " << e.band.describe()
-         << " [" << e.source << "] -> " << (e.passed ? "pass" : "FAIL")
-         << '\n';
-    }
-    if (json_path_.empty()) return rc;
-  }
 
   const std::string path = json_path_.empty() ? aux_path("json") : json_path_;
   try {

@@ -22,8 +22,6 @@
 //   --json <path>         write the result JSON to <path> instead of
 //                         $SX4NCAR_BENCH_RESULTS_DIR/<name>.json (default
 //                         directory bench/results)
-//   --list                print registered metrics/expectations instead of
-//                         writing JSON
 //   --deterministic       omit host-dependent JSON fields (host_execution,
 //                         wall_time_s, host_metrics) so emitted files are
 //                         byte-identical across host-thread policies
@@ -33,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "harness/baseline.hpp"
 #include "harness/expectation.hpp"
 #include "harness/json.hpp"
@@ -45,18 +42,6 @@ public:
   /// Parses flags (exits on --help / bad usage) and prints the
   /// "host execution: ..." banner followed by a blank line.
   BenchReporter(std::string name, int argc, char** argv);
-
-  /// Runs `read`, a bench main's read of its own knobs (common/knobs.hpp),
-  /// and returns its result. A config_error stops the run as a malformed
-  /// library knob does in the constructor: "<bench>: <message>", exit 2.
-  template <typename Read>
-  auto read_knobs(Read&& read) const -> decltype(read()) {
-    try {
-      return read();
-    } catch (const config_error& e) {
-      config_exit(e);
-    }
-  }
 
   /// Register a named scalar. Names must be unique within a run; returns
   /// `value` so measurements can be registered inline.
@@ -93,10 +78,6 @@ public:
   /// sxs::Cpu; counters are deterministic, so the metrics are gate-safe.
   void cost_cache_counters(double hits, double misses);
 
-  /// True when SX4NCAR_BENCH_FULL is set — recorded in the JSON so the
-  /// gate can refuse to compare quick-mode results to full-mode baselines.
-  bool full_mode() const { return full_mode_; }
-
   /// Default location for the Chrome trace a bench may emit in
   /// SX4NCAR_TRACE=full mode: <results>/<name>.trace.json, where <results> is
   /// $SX4NCAR_BENCH_RESULTS_DIR (default bench/results).
@@ -118,16 +99,12 @@ public:
   /// Result document in the result-v1 schema (what finish() writes).
   Json result_json() const;
 
-  /// Print the verdict block, write (or --list) the JSON, and return the
-  /// process exit code.
+  /// Print the verdict block, write the JSON, and return the process exit
+  /// code.
   int finish(std::ostream& os);
 
 private:
-  [[noreturn]] void config_exit(const config_error& e) const;
-
   std::string name_;
-  bool full_mode_ = false;
-  bool list_ = false;
   bool deterministic_ = false;
   std::string json_path_;
   std::string results_dir_;

@@ -17,9 +17,9 @@
 // host-dependent output is the events/sec throughput of the kernel
 // itself, reported as a host metric (omitted under --deterministic).
 //
-// Knobs: SX4NCAR_YEAR_DAYS and SX4NCAR_YEAR_SEED, documented in the knob
-// table (common/knobs.hpp). A malformed knob stops the run with exit 2
-// naming it.
+// Knob: SX4NCAR_YEAR_DAYS, documented in the knob table
+// (common/knobs.hpp). A malformed value stops the run with exit 2 naming
+// it.
 
 #include <chrono>
 #include <cstdio>
@@ -70,14 +70,10 @@ int main(int argc, char** argv) {
   bench::BenchReporter rep("prodload_year", argc, argv);
   const auto machine = sxs::MachineConfig::sx4_benchmarked();
 
-  const auto [days, seed] = rep.read_knobs([] {
-    const knobs::Settings& env = knobs::process();
-    return std::pair{env.positive("SX4NCAR_YEAR_DAYS", 365.0),
-                     env.uint64("SX4NCAR_YEAR_SEED", 0)};
-  });
+  const double days = knobs::process().positive("SX4NCAR_YEAR_DAYS", 365.0);
   const Seconds horizon(days * 86400.0);
 
-  des::Simulation sim = seed != 0 ? des::Simulation(seed) : des::Simulation();
+  des::Simulation sim;
   prodload::NodeLp node(sim, machine.cpus_per_node,
                         machine.bank_contention_per_cpu);
   prodload::QueueComplexLp nqs(

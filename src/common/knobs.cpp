@@ -6,6 +6,7 @@
 #include <charconv>
 #include <cmath>
 #include <type_traits>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -21,9 +22,9 @@ std::size_t row_index(std::string_view name) {
       kKnobs.begin());
 }
 
-[[noreturn]] void reject(std::string_view name, const std::string& value,
+[[noreturn]] void reject(const Knob& k, std::string_view value,
                          const std::string& accepted) {
-  throw config_error(std::string(name) + "=" + value +
+  throw config_error(std::string(k.name) + "=" + std::string(value) +
                      " is invalid: expected " + accepted +
                      ", or unset/empty for the default");
 }
@@ -37,6 +38,46 @@ bool parse_number(std::string_view text, T& out) {
   const bool positive = !std::is_floating_point_v<T> ||
                         (std::isfinite(static_cast<double>(out)) && out > 0);
   return ec == std::errc() && end == last && positive;
+}
+
+/// True when `value` is one of the '|'-separated `choices`.
+bool is_choice(std::string_view choices, std::string_view value) {
+  for (std::string_view rest = choices;;) {
+    const std::size_t bar = rest.find('|');
+    if (rest.substr(0, bar) == value) return true;
+    if (bar == std::string_view::npos) return false;
+    rest.remove_prefix(bar + 1);
+  }
+}
+
+/// The number a non-empty `value` of row `k` holds: the value of a
+/// Positive or IntRange row, 0 for the others. Throws config_error when
+/// the row does not accept `value`.
+double checked(const Knob& k, std::string_view value) {
+  if (k.kind == Kind::Positive) {
+    double out = 0;
+    if (!parse_number(value, out)) {
+      reject(k, value, "a decimal number above 0");
+    }
+    return out;
+  }
+  if (k.kind == Kind::IntRange) {
+    int out = 0;
+    if (!parse_number(value, out) || out < k.lo || out > k.hi) {
+      reject(k, value,
+             "a decimal integer " + std::to_string(k.lo) + ".." +
+                 std::to_string(k.hi));
+    }
+    return out;
+  }
+  if (k.kind == Kind::Choice && !is_choice(k.choices, value)) {
+    std::string list = "one of ";
+    for (const char c : k.choices) {
+      list += c == '|' ? std::string(" | ") : std::string(1, c);
+    }
+    reject(k, value, list);
+  }
+  return 0;
 }
 
 /// Levenshtein distance between `a` and `b`.
@@ -65,8 +106,8 @@ Settings::Settings(const char* const* env) {
     if (entry.substr(0, kPrefix.size()) != kPrefix) continue;
     const std::size_t eq = entry.find('=');
     const std::string_view name = entry.substr(0, eq);
-    const std::size_t row = row_index(name);
-    if (row == kKnobs.size()) {
+    const std::size_t i = row_index(name);
+    if (i == kKnobs.size()) {
       const auto nearest = std::min_element(
           kKnobs.begin(), kKnobs.end(), [&](const Knob& x, const Knob& y) {
             return edit_distance(name, x.name) < edit_distance(name, y.name);
@@ -75,98 +116,40 @@ Settings::Settings(const char* const* env) {
                          " is not a known knob (nearest known name: " +
                          std::string(nearest->name) + ")");
     }
-    values_[row] = eq == std::string_view::npos ? "" : entry.substr(eq + 1);
+    values_[i] = eq == std::string_view::npos ? "" : entry.substr(eq + 1);
+    if (!values_[i].empty()) numbers_[i] = checked(kKnobs[i], values_[i]);
   }
 }
 
-std::pair<const Knob&, const char*> Settings::read(std::string_view name,
-                                                   Kind kind) const {
+std::size_t Settings::row(std::string_view name, Kind kind) const {
   const std::size_t i = row_index(name);
   NCAR_REQUIRE(i < kKnobs.size(),
                std::string(name) + " is not a row of the knob table");
   NCAR_REQUIRE(kKnobs[i].kind == kind,
                std::string(name) + " is read as another kind than its row's");
-  return {kKnobs[i], values_[i].empty() ? nullptr : values_[i].c_str()};
+  return i;
 }
 
 std::string Settings::string(std::string_view name,
                              const std::string& fallback) const {
-  const char* v = read(name, Kind::String).second;
-  return v != nullptr ? std::string(v) : fallback;
+  const std::size_t i = row(name, Kind::String);
+  return values_[i].empty() ? fallback : values_[i];
 }
 
 double Settings::positive(std::string_view name, double fallback) const {
-  const char* v = read(name, Kind::Positive).second;
-  if (v == nullptr) return fallback;
-  double out = 0;
-  if (!parse_number(v, out)) reject(name, v, "a decimal number above 0");
-  return out;
-}
-
-std::uint64_t Settings::uint64(std::string_view name,
-                               std::uint64_t fallback) const {
-  const char* v = read(name, Kind::Uint64).second;
-  if (v == nullptr) return fallback;
-  std::uint64_t out = 0;
-  if (!parse_number(v, out)) {
-    reject(name, v, "a decimal integer 0..18446744073709551615");
-  }
-  return out;
+  const std::size_t i = row(name, Kind::Positive);
+  return values_[i].empty() ? fallback : numbers_[i];
 }
 
 int Settings::int_range(std::string_view name, int fallback) const {
-  const auto [row, v] = read(name, Kind::IntRange);
-  if (v == nullptr) return fallback;
-  int out = 0;
-  if (!parse_number(v, out) || out < row.lo || out > row.hi) {
-    reject(name, v,
-           "a decimal integer " + std::to_string(row.lo) + ".." +
-               std::to_string(row.hi));
-  }
-  return out;
+  const std::size_t i = row(name, Kind::IntRange);
+  return values_[i].empty() ? fallback : static_cast<int>(numbers_[i]);
 }
 
 std::string Settings::choice(std::string_view name,
-                             const std::string& fallback,
-                             const std::vector<std::string>& choices) const {
-  const auto [row, v] = read(name, Kind::Choice);
-  NCAR_REQUIRE(row.choices.empty() != choices.empty(),
-               std::string(name) +
-                   ": the choices come from the row or the caller");
-  std::vector<std::string> accepted = choices;
-  for (std::string_view rest = row.choices; !rest.empty();) {
-    const std::size_t bar = std::min(rest.find('|'), rest.size());
-    accepted.emplace_back(rest.substr(0, bar));
-    rest.remove_prefix(std::min(bar + 1, rest.size()));
-  }
-  if (v == nullptr) return fallback;
-  if (std::find(accepted.begin(), accepted.end(), v) != accepted.end()) {
-    return v;
-  }
-  std::string list = "one of ";
-  for (std::size_t i = 0; i < accepted.size(); ++i) {
-    list += (i == 0 ? "" : " | ") + accepted[i];
-  }
-  reject(name, v, list);
-}
-
-std::vector<double> Settings::positive_list(
-    std::string_view name, std::vector<double> fallback) const {
-  const char* v = read(name, Kind::PositiveList).second;
-  if (v == nullptr) return fallback;
-  const std::string_view s(v);
-  std::vector<double> out;
-  std::size_t pos = 0;
-  while (true) {
-    const std::size_t comma = s.find(',', pos);
-    double item = 0;
-    if (!parse_number(s.substr(pos, comma - pos), item)) {
-      reject(name, v, "a comma list of decimal numbers above 0");
-    }
-    out.push_back(item);
-    if (comma == std::string_view::npos) return out;
-    pos = comma + 1;
-  }
+                             const std::string& fallback) const {
+  const std::size_t i = row(name, Kind::Choice);
+  return values_[i].empty() ? fallback : values_[i];
 }
 
 const Settings& process() {

@@ -122,7 +122,7 @@ Backend best_supported();
 /// The active backend, initialised on first use from SX4NCAR_SIMD
 /// (common/knobs.hpp): unset, empty or "auto" is best_supported(), and a
 /// backend the host cannot run clamps to it. Throws ncar::config_error,
-/// again on every call, while the value is malformed.
+/// again on every call, while knobs::process() does.
 Backend active();
 
 /// Force a backend; unsupported requests clamp to best_supported().

@@ -91,7 +91,7 @@ constexpr bool spans_enabled(Mode m) {
 
 /// Process-wide tracing mode: initialised from SX4NCAR_TRACE
 /// (common/knobs.hpp; unset or empty is Off) on first use. Throws
-/// ncar::config_error, again on every call, while the value is malformed.
+/// ncar::config_error, again on every call, while knobs::process() does.
 Mode mode();
 
 /// Override the process-wide mode (tests and bench mains).

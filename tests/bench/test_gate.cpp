@@ -40,7 +40,6 @@ protected:
     Json j = Json::object();
     j.set("schema", "sx4ncar-bench-result-v1");
     j.set("bench", bench);
-    j.set("full_mode", false);
     Json ms = Json::object();
     ms.set(bench + ".mflops", mflops);
     ms.set(bench + ".seconds", seconds);
@@ -137,18 +136,6 @@ TEST_F(GateTest, MissingResultFileFails) {
   GateReport report;
   EXPECT_EQ(run_gate(opts(), log_, &report), 1);
   EXPECT_EQ(entry(report, "demo")->status, "missing-result");
-}
-
-TEST_F(GateTest, ModeMismatchFails) {
-  const Json quick = make_result("demo", 537.0, 226.62);
-  write("baselines/demo.json", Baseline::from_json(quick).to_json());
-  Json full = make_result("demo", 537.0, 226.62);
-  full.set("full_mode", true);
-  write("results/demo.json", full);
-
-  GateReport report;
-  EXPECT_EQ(run_gate(opts(), log_, &report), 1);
-  EXPECT_EQ(entry(report, "demo")->status, "mode-mismatch");
 }
 
 TEST_F(GateTest, FailedRecordedExpectationFails) {

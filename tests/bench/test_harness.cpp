@@ -100,7 +100,6 @@ TEST(Expectation, JsonRoundTripKeepsVerdict) {
 Baseline demo_baseline() {
   Baseline b;
   b.bench = "demo";
-  b.full_mode = false;
   b.metrics = {{"demo.copy.mb_per_s@N=256", 5206.977349648529, "MB/s"},
                {"demo.verified", 1.0, ""},
                {"demo.seconds", 226.62, "s"}};
